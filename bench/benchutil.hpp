@@ -4,7 +4,8 @@
 // Every bench binary prints a gnuplot-ready table (columns separated by
 // whitespace, '#' comment headers). Default parameters finish in seconds
 // and show the same curve shapes as the paper; pass --full for paper-scale
-// sweeps. EXPERIMENTS.md records both.
+// sweeps, whose larger N and trial counts tighten the curves without
+// changing their shape.
 #pragma once
 
 #include <algorithm>

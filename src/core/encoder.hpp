@@ -10,7 +10,7 @@
 // build an encoder per session: the sequence is universal (§2), so use
 // SequenceCache + its snapshot Cursors (core/sketch.hpp) -- cells are
 // materialized once, shared by every session, and survive set churn --
-// which is what sync::SyncEngine and sync::ReconcileServer do.
+// which is what sync::SyncEngine does.
 #pragma once
 
 #include <cstdint>

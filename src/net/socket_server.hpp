@@ -1,168 +1,27 @@
-// SocketServer: the ShardedEngine served over real loopback TCP.
+// SocketServer: the ShardedEngine served over real loopback TCP by an
+// epoll loop.
 //
 // One poll thread owns an epoll loop (net::Poller) with the listener, a
 // cross-thread wakeup eventfd, and every accepted connection. Each
-// connection carries a FrameConduit: inbound bytes reassemble into v2
-// frames that route to the engine via v2::peek_session_id + submit()
-// (recording sid -> connection so replies find their way back); outbound
-// frames from the shard workers' sink stage into the connection and drain
-// through writev as the socket accepts them.
-//
-// Backpressure end to end: a shard worker's sink call blocks while the
-// destination connection's queued output (staged + conduit) sits above the
-// high watermark, and resumes when the poll thread drains it below the low
-// watermark -- the worker streams exactly as fast as the peer's socket
-// accepts, which is the paper's serve-at-line-rate model with real kernel
-// send buffers as the rate signal. Slow peers therefore stall only their
-// own sessions' shard progress, never the poll thread (which never blocks
-// on the engine) and never other connections' drains.
-//
-// Error containment mirrors the engine contract: a frame whose routing
-// prefix cannot be parsed poisons only its connection (framing is intact,
-// so it is a hostile/broken client, and with no session id there is nobody
-// to ERROR); a frame the router rejects (unknown session, bad topology)
-// gets a v2 ERROR frame back on its connection; failures inside an
-// established session already produce in-band ERROR frames from the engine.
+// connection carries a FrameConduit: inbound bytes read until EAGAIN
+// reassemble into v2 frames for the serving core's router; outbound frames
+// the shard workers' sinks staged drain through writev as the socket
+// accepts them, with EPOLLOUT interest armed only while output is pending.
+// Routing, backpressure, error containment, and ADMIN answering are the
+// shared policy in net/serving_core.hpp.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "net/frame_conduit.hpp"
-#include "net/tcp.hpp"
-#include "obs/prom.hpp"
-#include "sync/sharded.hpp"
+#include "net/serving_core.hpp"
 
 namespace ribltx::net {
-
-struct SocketServerOptions {
-  std::uint16_t port = 0;            ///< 0 = ephemeral; see port()
-  std::size_t high_watermark = 64u << 10;  ///< sink blocks above this
-  std::size_t low_watermark = 16u << 10;   ///< sink resumes below this
-  /// SO_SNDBUF cap per accepted connection (0 = kernel default). The total
-  /// runway a rateless stream has before the worker's sink blocks is
-  /// watermark + this + the peer's receive buffer, so keep all three small
-  /// relative to the expected per-session transfer -- otherwise a server
-  /// on a fast link encodes megabytes of symbols the peer's DONE will
-  /// throw away (the measured default was ~600 KB of waste per session on
-  /// unbounded loopback buffers).
-  int send_buffer = 64 << 10;
-  std::size_t max_frame = FrameConduit::kDefaultMaxFrame;
-  /// Longest a shard worker's sink blocks on one connection's backpressure
-  /// before the connection is doomed and closed (a peer that stops reading
-  /// would otherwise wedge its shard's worker forever -- and with it every
-  /// other session on that shard, including the idle-reap sweep). 0 keeps
-  /// the historical wait-forever behavior.
-  double sink_timeout_s = 0;
-  /// UringServer-only knobs (the epoll server ignores them): disable the
-  /// provided-buffer-ring multishot recv or the MSG_RING wakeup to force
-  /// the single-shot recv / eventfd fallback paths without an old kernel.
-  bool uring_buffer_ring = true;
-  bool uring_msg_ring = true;
-  /// Live exposition taps (optional; must outlive the server). With
-  /// `metrics` set the in-band ADMIN verbs "METRICS" (Prometheus text)
-  /// and "METRICS_JSON" answer with a live registry snapshot composed
-  /// with the server's transport counters and the engine roll-up; with
-  /// `tracer` set "TRACE" answers with chrome://tracing JSON. A verb
-  /// whose tap is unset gets an in-band ERROR frame. Pass the same
-  /// registry/tracer the engine's EngineOptions carry so one scrape
-  /// covers every tier.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-};
-
-/// Transport-layer counters (engine-layer stats live in ShardedStats).
-/// The syscall columns are the bench's syscalls/session source -- counted
-/// at the call sites, not strace'd -- and are populated by both servers:
-/// the epoll path counts read/sendmsg/epoll_wait/eventfd-write; the uring
-/// path counts io_uring_enter under `syscalls_wait` (its only steady-state
-/// syscall) plus `sqe_submits` for the batching numerator.
-struct SocketServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t frames_dropped = 0;   ///< outbound with no live route
-  std::uint64_t protocol_errors = 0;  ///< router rejects + framing poisons
-  std::uint64_t syscalls_read = 0;    ///< read()s (epoll path)
-  std::uint64_t syscalls_write = 0;   ///< sendmsg()s (epoll path)
-  std::uint64_t syscalls_wait = 0;    ///< epoll_wait()s / io_uring_enter()s
-  std::uint64_t wakeups = 0;          ///< cross-thread wakeup syscalls
-  std::uint64_t sqe_submits = 0;      ///< SQEs handed to the kernel (uring)
-  std::uint64_t routes = 0;           ///< live sid->connection routes (gauge)
-
-  /// Total data-path syscalls (sqe_submits excluded: an SQE is not a
-  /// syscall, that is the whole point).
-  ///
-  /// Consistency (audited): this sums columns of ONE materialized stats()
-  /// snapshot, so it can never tear a live counter mid-read -- but the
-  /// snapshot itself samples each underlying atomic with a separate
-  /// relaxed load. Each column is individually torn-free (single 64-bit
-  /// atomics) and monotone across successive snapshots; the SUM is a
-  /// smear: a read counted between the syscalls_read load and the
-  /// syscalls_wait load lands in neither. Deltas between two snapshots
-  /// bracket the true syscall count, which is what the benches divide by
-  /// sessions. Same contract as obs::MetricsRegistry::snapshot().
-  [[nodiscard]] std::uint64_t syscalls() const noexcept {
-    return syscalls_read + syscalls_write + syscalls_wait + wakeups;
-  }
-};
-
-/// Appends the transport counters as synthetic snapshot families -- the
-/// "thin view" composition: the hot counters stay in the server's padded
-/// atomics, and scrape time folds one stats() sample into the exposition
-/// next to the registry-native families. `labels` distinguishes servers
-/// sharing a registry (conventionally {{"server", "epoll"|"uring"}}).
-inline void append_server_stats(obs::MetricsSnapshot& snap,
-                                const SocketServerStats& s,
-                                obs::Labels labels = {}) {
-  snap.add_counter("riblt_server_connections_accepted_total",
-                   "Connections accepted", s.connections_accepted, labels);
-  snap.add_counter("riblt_server_connections_closed_total",
-                   "Connections closed", s.connections_closed, labels);
-  snap.add_counter("riblt_server_frames_in_total",
-                   "Frames reassembled off sockets", s.frames_in, labels);
-  snap.add_counter("riblt_server_frames_out_total",
-                   "Frames staged for sending", s.frames_out, labels);
-  snap.add_counter("riblt_server_frames_dropped_total",
-                   "Outbound frames with no live route", s.frames_dropped,
-                   labels);
-  snap.add_counter("riblt_server_protocol_errors_total",
-                   "Router rejects plus framing poisons", s.protocol_errors,
-                   labels);
-  auto op = [&labels](const char* v) {
-    obs::Labels l = labels;
-    l.emplace_back("op", v);
-    return l;
-  };
-  const char* const syscall_help = "Data-path syscalls by call site";
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_read, op("read"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_write, op("write"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_wait, op("wait"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help, s.wakeups,
-                   op("wakeup"));
-  snap.add_counter("riblt_server_sqe_submits_total",
-                   "SQEs handed to the kernel (uring)", s.sqe_submits,
-                   labels);
-  snap.add_gauge("riblt_server_routes",
-                 "Live session-to-connection routes",
-                 static_cast<std::int64_t>(s.routes), labels);
-}
 
 template <Symbol T, typename Hasher = SipHasher<T>>
 class SocketServer {
@@ -171,17 +30,16 @@ class SocketServer {
   /// the engine must not be start()ed -- the server owns its sink.
   explicit SocketServer(sync::ShardedEngine<T, Hasher>& engine,
                         SocketServerOptions options = {})
-      : engine_(engine), options_(options), listener_(options.port) {
-    if (options_.low_watermark >= options_.high_watermark) {
-      throw std::invalid_argument("SocketServer: watermarks out of order");
-    }
-    if (options_.metrics != nullptr) {
-      obs_conduit_depth_ = &options_.metrics->histogram(
-          "riblt_server_conduit_pending_bytes",
-          "Bytes queued in a connection's conduit after a flush",
-          {{"server", "epoll"}});
-    }
-  }
+      : core_(engine, options, "epoll",
+              [this](SocketServerStats& out) {
+                out.syscalls_read =
+                    syscalls_read_.load(std::memory_order_relaxed);
+                out.syscalls_write =
+                    syscalls_write_.load(std::memory_order_relaxed);
+                out.syscalls_wait =
+                    syscalls_wait_.load(std::memory_order_relaxed);
+              }),
+        listener_(options.port) {}
 
   ~SocketServer() { stop(); }
 
@@ -192,14 +50,11 @@ class SocketServer {
     return listener_.port();
   }
 
-  /// Starts the shard workers (engine.start with this server's sink) and
-  /// the poll thread.
+  /// Starts the shard workers (engine.start with the core's sink) and the
+  /// poll thread.
   void start() {
     if (running_) throw std::logic_error("SocketServer: already started");
-    stopping_.store(false, std::memory_order_release);
-    engine_.start([this](std::vector<std::byte> frame) {
-      sink(std::move(frame));
-    });
+    core_.start([this] { wakeup_.signal(); });
     poll_thread_ = std::thread([this] { poll_loop(); });
     running_ = true;
   }
@@ -208,177 +63,33 @@ class SocketServer {
   /// every connection. Idempotent.
   void stop() {
     if (!running_) return;
-    stopping_.store(true, std::memory_order_release);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        // Take the conn mutex before notifying: a sink that evaluated its
-        // wait predicate just before stopping_ flipped must be fully
-        // parked (mutex released into the wait) before the notify fires,
-        // or the wakeup is lost and the worker sleeps forever.
-        { const std::lock_guard<std::mutex> conn_lk(conn->mu); }
-        conn->cv.notify_all();
-      }
-    }
-    engine_.stop();
+    core_.stop_workers();
     wakeup_.signal();
     if (poll_thread_.joinable()) poll_thread_.join();
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.clear();
-      routes_.clear();
-    }
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.clear();
-    }
+    core_.clear();
     running_ = false;
   }
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  [[nodiscard]] SocketServerStats stats() const {
-    SocketServerStats out;
-    out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-    out.connections_closed = closed_.load(std::memory_order_relaxed);
-    out.frames_in = frames_in_.load(std::memory_order_relaxed);
-    out.frames_out = frames_out_.load(std::memory_order_relaxed);
-    out.frames_dropped = dropped_.load(std::memory_order_relaxed);
-    out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    out.syscalls_read = syscalls_read_.load(std::memory_order_relaxed);
-    out.syscalls_write = syscalls_write_.load(std::memory_order_relaxed);
-    out.syscalls_wait = syscalls_wait_.load(std::memory_order_relaxed);
-    out.wakeups = wakeups_.load(std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      out.routes = routes_.size();
-    }
-    return out;
-  }
+  [[nodiscard]] SocketServerStats stats() const { return core_.stats(); }
 
  private:
-  struct Conn {
-    explicit Conn(int fd, std::uint64_t key_, std::size_t max_frame)
-        : io(fd), key(key_), conduit(max_frame) {}
-
-    TcpConn io;
-    const std::uint64_t key;  ///< epoll key / conns_ index
-    FrameConduit conduit;  ///< poll thread only, both directions
-
-    std::mutex mu;  ///< guards staged/staged_bytes (sink <-> poll thread)
-    std::condition_variable cv;  ///< backpressure wait/wake
-    std::deque<std::vector<std::byte>> staged;  ///< sink -> poll thread
-    std::size_t staged_bytes = 0;
-    /// Conduit-side pending bytes mirrored for the sink's watermark check
-    /// (the conduit itself is poll-thread-only).
-    std::atomic<std::size_t> conduit_pending{0};
-    std::atomic<bool> dead{false};
-    /// A sink timed out on this connection's backpressure: the poll thread
-    /// closes it at the next drain cycle (sinks must not close -- only the
-    /// poll thread owns the fd/poller lifecycle).
-    std::atomic<bool> doomed{false};
-    /// In the poll thread's dirty list (has undrained staged frames).
-    /// Guard against re-enqueueing; see drain_dirty() for the ordering.
-    std::atomic<bool> dirty{false};
+  struct Conn : ServingConn {
+    using ServingConn::ServingConn;
     bool want_write = false;  ///< poll thread: current epoll interest
   };
+  using ConnPtr = std::shared_ptr<Conn>;
 
   static constexpr std::uint64_t kListenerKey = 0;
   static constexpr std::uint64_t kWakeupKey = 1;
   static constexpr std::uint64_t kFirstConnKey = 2;
 
-  // ------------------------------------------------------- worker-side sink
-
-  /// Delivery callback running on the shard workers. Blocking here is the
-  /// designed backpressure: the worker stops pumping this shard's sessions
-  /// until the peer's socket drains.
-  void sink(std::vector<std::byte> frame) {
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;  // engine frames are well-formed; defensive only
-    }
-    std::shared_ptr<Conn> conn;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto it = routes_.find(sid);
-      if (it != routes_.end()) conn = it->second;
-    }
-    if (!conn) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;  // peer disconnected (or finished) mid-stream
-    }
-    {
-      std::unique_lock<std::mutex> lk(conn->mu);
-      const auto drained = [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               conn->dead.load(std::memory_order_acquire) ||
-               conn->staged_bytes +
-                       conn->conduit_pending.load(std::memory_order_acquire) <
-                   options_.high_watermark;
-      };
-      bool woke = true;
-      if (options_.sink_timeout_s > 0) {
-        woke = conn->cv.wait_for(
-            lk, std::chrono::duration<double>(options_.sink_timeout_s),
-            drained);
-      } else {
-        conn->cv.wait(lk, drained);
-      }
-      if (!woke) {
-        // The peer sat above the high watermark for the whole timeout: it
-        // stopped reading. Doom the connection and move on -- the poll
-        // thread closes it (which aborts its sessions in-band), and this
-        // worker is free to serve the shard's other sessions again.
-        lk.unlock();
-        conn->doomed.store(true, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        mark_dirty(conn);
-        if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
-          wakeup_.signal();
-          wakeups_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return;
-      }
-      if (stopping_.load(std::memory_order_acquire) ||
-          conn->dead.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-    // Coalesced wakeup: every sink used to write the eventfd per frame
-    // (thousands of syscalls/sec under load that the poll thread collapsed
-    // into one drain anyway). One wakeup is pending until the poll thread
-    // clears the flag at the start of its drain cycle; stages landing
-    // before the clear ride the already-pending wakeup.
-    if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
-      wakeup_.signal();
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Enqueues `conn` for the poll thread's next drain cycle (idempotent
-  /// until the poll thread clears the flag).
-  void mark_dirty(const std::shared_ptr<Conn>& conn) {
-    if (!conn->dirty.exchange(true, std::memory_order_acq_rel)) {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.push_back(conn);
-    }
-  }
-
-  // --------------------------------------------------------- poll thread
-
   void poll_loop() {
     poller_.add(listener_.fd(), kPollIn, kListenerKey);
     poller_.add(wakeup_.fd(), kPollIn, kWakeupKey);
     Poller::Event events[64];
-    while (!stopping_.load(std::memory_order_acquire)) {
+    while (!core_.stopping()) {
       const std::size_t n = poller_.wait(events, /*timeout_ms=*/200);
       syscalls_wait_.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < n; ++i) {
@@ -391,12 +102,8 @@ class SocketServer {
           on_conn_event(ev);
         }
       }
-      // Clear the pending-wakeup flag BEFORE draining: a sink that stages
-      // after the clear signals a fresh wakeup; one that staged before it
-      // is picked up by this very drain. Clear-after-drain would strand
-      // frames staged in the window until the 200ms tick.
-      wake_pending_.store(false, std::memory_order_release);
-      drain_dirty();
+      core_.drain_dirty([this](const ConnPtr& conn) { close_conn(*conn); },
+                        [this](Conn& conn) { flush_conn(conn); });
     }
   }
 
@@ -404,234 +111,57 @@ class SocketServer {
     for (;;) {
       const int fd = listener_.accept_conn();
       if (fd < 0) return;
-      set_send_buffer(fd, options_.send_buffer);
-      const std::uint64_t key = next_conn_key_++;
-      auto conn = std::make_shared<Conn>(fd, key, options_.max_frame);
-      {
-        const std::lock_guard<std::mutex> lk(conns_mu_);
-        conns_.emplace(key, conn);
-      }
-      poller_.add(conn->io.fd(), kPollIn, key);
-      accepted_.fetch_add(1, std::memory_order_relaxed);
+      set_send_buffer(fd, core_.options().send_buffer);
+      auto conn = std::make_shared<Conn>(fd, next_conn_key_++,
+                                         core_.options().max_frame);
+      poller_.add(conn->io.fd(), kPollIn, conn->key);
+      core_.add_conn(std::move(conn));
     }
-  }
-
-  [[nodiscard]] std::shared_ptr<Conn> conn_of(std::uint64_t key) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = conns_.find(key);
-    return it == conns_.end() ? nullptr : it->second;
   }
 
   void on_conn_event(const Poller::Event& ev) {
-    const std::shared_ptr<Conn> conn = conn_of(ev.key);
+    const ConnPtr conn = core_.conn_of(ev.key);
     if (!conn) return;  // already closed this round
     if (ev.broken()) {
-      close_conn(ev.key, *conn);
+      close_conn(*conn);
       return;
     }
-    if (ev.readable() && !read_ready(ev.key, conn)) return;
-    if (ev.writable()) flush_conn(ev.key, *conn);
+    if (ev.readable() && !read_ready(conn)) return;
+    if (ev.writable()) flush_conn(*conn);
   }
 
   /// Reads until EAGAIN, feeding the conduit and routing complete frames.
   /// Returns false when the connection died (and was closed).
-  bool read_ready(std::uint64_t key, const std::shared_ptr<Conn>& conn) {
+  bool read_ready(const ConnPtr& conn) {
     std::byte buf[64 * 1024];
     for (;;) {
       const TcpConn::IoResult r = conn->io.read_some(buf);
       syscalls_read_.fetch_add(1, std::memory_order_relaxed);
       if (r.status == TcpConn::Io::kWouldBlock) break;
       if (r.status == TcpConn::Io::kClosed) {
-        close_conn(key, *conn);
+        close_conn(*conn);
         return false;
       }
       try {
         conn->conduit.feed(std::span<const std::byte>(buf, r.bytes));
       } catch (const sync::ProtocolError&) {
-        // Framing poisoned (oversized/garbled length): unrecoverable on a
-        // byte stream, and containment is per connection.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        close_conn(key, *conn);
+        core_.count_poison();
+        close_conn(*conn);
         return false;
       }
       while (auto frame = conn->conduit.next_frame()) {
-        if (!route_inbound(key, conn, std::move(*frame))) return false;
+        if (!core_.route_inbound(conn, std::move(*frame))) {
+          close_conn(*conn);
+          return false;
+        }
       }
     }
     return true;
   }
 
-  /// Routes one reassembled frame into the engine. Returns false when the
-  /// connection was closed in response.
-  bool route_inbound(std::uint64_t key, const std::shared_ptr<Conn>& conn,
-                     std::vector<std::byte> frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t sid = 0;
-    try {
-      // Also rejects the empty (zero-length) frame, so the type read below
-      // is in bounds.
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      close_conn(key, *conn);  // valid framing, unparseable routing: hostile
-      return false;
-    }
-    const auto type = static_cast<std::uint8_t>(frame[0]);
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kAdmin)) {
-      // Observability verbs are transport-level: answered here on the poll
-      // thread, never submitted to the engine (which rejects them) and
-      // never recorded in the reply routes -- the chunked ADMIN_REPLY
-      // rides stage_local back on this same connection, so a scrape works
-      // mid-load from a second connection without touching any session.
-      handle_admin(conn, sid, frame);
-      return true;
-    }
-    bool inserted_route = false;
-    {
-      // Record the reply route up front: the HELLO_ACK can race out of the
-      // shard worker before submit() returns. A sid already routed to a
-      // DIFFERENT connection is a hijack attempt: reject without touching
-      // the live session.
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto [it, inserted] = routes_.emplace(sid, conn);
-      if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        stage_local(conn, sync::v2::make_error_frame(
-                              sid, "session belongs to another connection"));
-        return true;
-      }
-      inserted_route = inserted;
-    }
-    try {
-      engine_.submit(std::move(frame));
-    } catch (const sync::ProtocolError& e) {
-      // Router-level reject (bad topology, unknown session, duplicate
-      // HELLO): contained to this session; tell the peer in-band. Only a
-      // route THIS frame created is undone -- a duplicate HELLO must not
-      // sever the live session's reply route.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (inserted_route) drop_route_if_self(sid, *conn);
-      stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
-      return true;
-    }
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
-        type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
-      // The client ended the session; nothing meaningful flows back. The
-      // engine-side session went terminal on the same frame, so the worker
-      // retires it -- no abort needed.
-      drop_route_if_self(sid, *conn);
-    }
-    return true;
-  }
-
-  /// Composes the live exposition snapshot: registry-native families plus
-  /// the thin views over this server's transport counters and the engine
-  /// roll-up. Runs on the poll thread; engine_.stats() takes each shard
-  /// lock briefly (workers never block holding one -- sinks run outside
-  /// the shard lock -- so this cannot deadlock against backpressure).
-  [[nodiscard]] obs::MetricsSnapshot compose_snapshot() const {
-    obs::MetricsSnapshot snap = options_.metrics->snapshot();
-    append_server_stats(snap, stats(), {{"server", "epoll"}});
-    sync::append_engine_totals(snap, engine_.stats().totals);
-    return snap;
-  }
-
-  /// Answers one ADMIN verb in-band. Unknown verbs and verbs whose tap is
-  /// not configured get an ERROR frame (counted as protocol errors), so a
-  /// scraper always hears back.
-  void handle_admin(const std::shared_ptr<Conn>& conn, std::uint64_t sid,
-                    std::span<const std::byte> raw) {
-    std::string verb;
-    try {
-      const sync::v2::Frame frame = sync::v2::parse_frame(raw);
-      verb = sync::v2::error_text(frame);  // payload bytes as text
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(sid, "malformed ADMIN"));
-      return;
-    }
-    std::string body;
-    if ((verb == "METRICS" || verb == "METRICS_JSON") &&
-        options_.metrics != nullptr) {
-      const obs::MetricsSnapshot snap = compose_snapshot();
-      body = verb == "METRICS" ? obs::prometheus_text(snap)
-                               : obs::json_text(snap);
-    } else if (verb == "TRACE" && options_.tracer != nullptr) {
-      body = options_.tracer->chrome_json();
-    } else {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(
-                            sid, "unsupported ADMIN verb: " + verb));
-      return;
-    }
-    for (auto& reply : sync::v2::make_admin_reply(sid, body)) {
-      stage_local(conn, std::move(reply));
-    }
-  }
-
-  void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) routes_.erase(it);
-  }
-
-  /// Stages a poll-thread-generated frame (ERROR replies) onto `conn`,
-  /// bypassing the sink watermark: these are tiny and must get out even
-  /// when the peer is backpressured. Delivery rides the end-of-iteration
-  /// drain_dirty() sweep -- flushing inline here could close the conn in
-  /// the middle of its own read_ready frame loop.
-  void stage_local(const std::shared_ptr<Conn>& conn,
-                   std::vector<std::byte> frame) {
-    {
-      const std::lock_guard<std::mutex> lk(conn->mu);
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-  }
-
-  /// Drains only the connections sinks have staged onto since the last
-  /// cycle. The previous full-table sweep was O(connections) per loop
-  /// iteration -- ruinous at 10k mostly-idle paced sessions.
-  void drain_dirty() {
-    std::vector<std::shared_ptr<Conn>> batch;
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      batch.swap(dirty_);
-    }
-    for (auto& conn : batch) {
-      // Clear before draining: a sink staging concurrently either lands in
-      // this drain (staged before the clear) or re-enqueues the conn
-      // (exchange sees false after it). Clear-after-drain loses frames
-      // staged in between.
-      conn->dirty.store(false, std::memory_order_release);
-      if (conn->dead.load(std::memory_order_acquire)) continue;
-      if (conn->doomed.load(std::memory_order_acquire)) {
-        close_conn(conn->key, *conn);  // sink timed out: stalled peer
-        continue;
-      }
-      drain_staged(*conn);
-      flush_conn(conn->key, *conn);
-    }
-  }
-
-  /// Moves sink-staged frames into the conduit (poll thread only).
-  void drain_staged(Conn& conn) {
-    std::deque<std::vector<std::byte>> batch;
-    {
-      const std::lock_guard<std::mutex> lk(conn.mu);
-      batch.swap(conn.staged);
-      conn.staged_bytes = 0;
-    }
-    for (auto& frame : batch) conn.conduit.send(std::move(frame));
-    conn.conduit_pending.store(conn.conduit.pending_bytes(),
-                               std::memory_order_release);
-  }
-
-  /// writev-drains the conduit and maintains EPOLLOUT interest and the
+  /// writev-drains the conduit, then maintains EPOLLOUT interest and the
   /// backpressure watermark signal.
-  void flush_conn(std::uint64_t key, Conn& conn) {
+  void flush_conn(Conn& conn) {
     if (!conn.io.open()) return;
     while (conn.conduit.has_output()) {
       std::span<const std::byte> chunks[TcpConn::kMaxIov];
@@ -641,105 +171,41 @@ class SocketServer {
               chunks, n));
       syscalls_write_.fetch_add(1, std::memory_order_relaxed);
       if (r.status == TcpConn::Io::kClosed) {
-        close_conn(key, conn);
+        close_conn(conn);
         return;
       }
       if (r.status == TcpConn::Io::kWouldBlock || r.bytes == 0) break;
       conn.conduit.consume(r.bytes);
     }
-    conn.conduit_pending.store(conn.conduit.pending_bytes(),
-                               std::memory_order_release);
-    if (obs_conduit_depth_ != nullptr) {
-      obs_conduit_depth_->record(
-          conn.conduit_pending.load(std::memory_order_relaxed));
-    }
     const bool want = conn.conduit.has_output();
     if (want != conn.want_write) {
       conn.want_write = want;
       poller_.modify(conn.io.fd(), want ? (kPollIn | kPollOut) : kPollIn,
-                     key);
+                     conn.key);
     }
-    if (conn.conduit_pending.load(std::memory_order_relaxed) <
-        options_.low_watermark) {
-      // Resume backpressured sinks; lock-then-notify so a sink between
-      // predicate check and park cannot miss the drain.
-      { const std::lock_guard<std::mutex> lk(conn.mu); }
-      conn.cv.notify_all();
-    }
+    core_.after_flush(conn);
   }
 
-  void close_conn(std::uint64_t key, Conn& conn) {
-    {
-      // Under the conn mutex so a sink mid-wait-entry cannot miss the
-      // dead flag (see the matching comment in stop()).
-      const std::lock_guard<std::mutex> lk(conn.mu);
-      conn.dead.store(true, std::memory_order_release);
-    }
+  void close_conn(Conn& conn) {
+    core_.orphan(conn);
     if (conn.io.open()) {
       poller_.remove(conn.io.fd());
       conn.io.close();
     }
-    std::vector<std::uint64_t> orphaned;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto it = routes_.begin(); it != routes_.end();) {
-        if (it->second.get() == &conn) {
-          orphaned.push_back(it->first);
-          it = routes_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      conns_.erase(key);
-    }
-    conn.cv.notify_all();  // unblock any sink waiting on this connection
-    // Abort the engine side of every session this connection still owned:
-    // without this, a rateless session stays kActive forever, its shard
-    // worker spinning out SYMBOLS frames that drop on the floor (one
-    // disconnect pinned a core and generated ~160k dropped frames/sec).
-    // A synthetic in-band ERROR is FIFO-correct even when the session's
-    // HELLO is still queued in the shard inbox -- the worker opens the
-    // session, then fails and retires it on the very next frame.
-    for (const std::uint64_t sid : orphaned) {
-      try {
-        engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-      } catch (const sync::ProtocolError&) {
-        // Router no longer knows the session (already retired): done.
-      }
-    }
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    core_.retire_conn(conn.key);
   }
 
-  sync::ShardedEngine<T, Hasher>& engine_;
-  SocketServerOptions options_;
+  ServingCore<T, Hasher, Conn> core_;
   TcpListener listener_;
   Poller poller_;
   WakeupFd wakeup_;
-
-  mutable std::mutex conns_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> routes_;  ///< sid->
-  std::uint64_t next_conn_key_ = kFirstConnKey;  ///< poll thread only
-
-  std::mutex dirty_mu_;
-  std::vector<std::shared_ptr<Conn>> dirty_;  ///< staged-but-undrained conns
-  std::atomic<bool> wake_pending_{false};     ///< eventfd write coalescing
-
   std::thread poll_thread_;
-  std::atomic<bool> stopping_{false};
+  std::uint64_t next_conn_key_ = kFirstConnKey;  ///< poll thread only
   bool running_ = false;
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> syscalls_read_{0};
   std::atomic<std::uint64_t> syscalls_write_{0};
   std::atomic<std::uint64_t> syscalls_wait_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
 };
 
 }  // namespace ribltx::net

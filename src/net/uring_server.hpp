@@ -2,9 +2,8 @@
 // submission loop -- the C10K->C1M half of the transport tier.
 //
 // Same surface and same semantics as the epoll SocketServer (bind-before-
-// start, port(), stats(), sid -> connection reply routing, watermark
-// backpressure from the shard workers' blocking sinks, per-connection
-// error containment), different engine room:
+// start, port(), stats(), and the shared routing, backpressure, and error
+// containment policy of net/serving_core.hpp), different engine room:
 //
 //   accept    one multishot accept SQE produces a CQE per connection
 //             instead of one epoll wakeup + accept4 syscall each.
@@ -47,23 +46,15 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "net/frame_conduit.hpp"
-#include "net/tcp.hpp"
-#include "sync/sharded.hpp"
 
 namespace ribltx::net {
 
@@ -75,23 +66,21 @@ class UringServer {
   /// failing later -- when io_uring is unusable. Gate on uring_available().
   explicit UringServer(sync::ShardedEngine<T, Hasher>& engine,
                        SocketServerOptions options = {})
-      : engine_(engine), options_(options), listener_(options.port) {
-    if (options_.low_watermark >= options_.high_watermark) {
-      throw std::invalid_argument("UringServer: watermarks out of order");
-    }
+      : core_(engine, options, "uring",
+              [this](SocketServerStats& out) {
+                // The uring data path's only steady-state syscall is
+                // io_uring_enter.
+                out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
+                out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
+              }),
+        listener_(options.port) {
     // Deep CQ: multishot accept/recv complete many times per SQE, and an
     // overflowed CQ stalls the whole ring.
     ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries);
-    use_buf_ring_ = options_.uring_buffer_ring &&
+    use_buf_ring_ = options.uring_buffer_ring &&
                     ring_->setup_buf_ring(kBufGroup, kBufRingEntries,
                                           kRecvBufSize);
-    use_msg_ring_ = options_.uring_msg_ring && uring_caps().msg_ring;
-    if (options_.metrics != nullptr) {
-      obs_conduit_depth_ = &options_.metrics->histogram(
-          "riblt_server_conduit_pending_bytes",
-          "Bytes queued in a connection's conduit after a flush",
-          {{"server", "uring"}});
-    }
+    use_msg_ring_ = options.uring_msg_ring && uring_caps().msg_ring;
     if (use_msg_ring_) {
       // Tiny sender ring shared by all sink threads (mutex-guarded): its
       // only job is posting wakeup CQEs onto the serving ring.
@@ -117,61 +106,23 @@ class UringServer {
 
   void start() {
     if (running_) throw std::logic_error("UringServer: already started");
-    stopping_.store(false, std::memory_order_release);
-    engine_.start([this](std::vector<std::byte> frame) {
-      sink(std::move(frame));
-    });
+    core_.start([this] { wake(); });
     serve_thread_ = std::thread([this] { serve_loop(); });
     running_ = true;
   }
 
   void stop() {
     if (!running_) return;
-    stopping_.store(true, std::memory_order_release);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        // Same lost-wakeup guard as the epoll server: park-in-progress
-        // sinks must be fully inside the wait before the notify.
-        { const std::lock_guard<std::mutex> conn_lk(conn->mu); }
-        conn->cv.notify_all();
-      }
-    }
-    engine_.stop();
+    core_.stop_workers();
     wake();
     if (serve_thread_.joinable()) serve_thread_.join();
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.clear();
-      routes_.clear();
-    }
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.clear();
-    }
+    core_.clear();
     running_ = false;
   }
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  [[nodiscard]] SocketServerStats stats() const {
-    SocketServerStats out;
-    out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-    out.connections_closed = closed_.load(std::memory_order_relaxed);
-    out.frames_in = frames_in_.load(std::memory_order_relaxed);
-    out.frames_out = frames_out_.load(std::memory_order_relaxed);
-    out.frames_dropped = dropped_.load(std::memory_order_relaxed);
-    out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    // The uring data path's only steady-state syscall is io_uring_enter.
-    out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
-    out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
-    out.wakeups = wakeups_.load(std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      out.routes = routes_.size();
-    }
-    return out;
-  }
+  [[nodiscard]] SocketServerStats stats() const { return core_.stats(); }
 
  private:
   static constexpr unsigned kSqEntries = 1024;
@@ -203,26 +154,8 @@ class UringServer {
     return ud >> 8;
   }
 
-  struct Conn {
-    Conn(int fd, std::uint64_t key_, std::size_t max_frame)
-        : io(fd), key(key_), conduit(max_frame) {}
-
-    TcpConn io;
-    const std::uint64_t key;
-    FrameConduit conduit;  ///< serving thread only, both directions
-
-    std::mutex mu;  ///< guards staged/staged_bytes (sink <-> serving thread)
-    std::condition_variable cv;
-    std::deque<std::vector<std::byte>> staged;
-    std::size_t staged_bytes = 0;
-    std::atomic<std::size_t> conduit_pending{0};
-    std::atomic<bool> dead{false};
-    std::atomic<bool> dirty{false};
-    /// A sink timed out on this connection's backpressure; the serving
-    /// thread begins the close at the next drain cycle (only it owns the
-    /// op/fd lifecycle).
-    std::atomic<bool> doomed{false};
-
+  struct Conn : ServingConn {
+    using ServingConn::ServingConn;
     // io_uring state, serving thread only.
     bool recv_armed = false;
     bool send_armed = false;
@@ -233,81 +166,12 @@ class UringServer {
     msghdr msg{};
     iovec iov[kSendIov]{};
   };
-
-  // ------------------------------------------------------ worker-side sink
-
-  /// Identical contract to SocketServer::sink: blocks the shard worker on
-  /// the destination connection's watermark, stages the frame, nudges the
-  /// serving thread (coalesced to one wakeup per drain cycle).
-  void sink(std::vector<std::byte> frame) {
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    std::shared_ptr<Conn> conn;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto it = routes_.find(sid);
-      if (it != routes_.end()) conn = it->second;
-    }
-    if (!conn) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    {
-      std::unique_lock<std::mutex> lk(conn->mu);
-      const auto drained = [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               conn->dead.load(std::memory_order_acquire) ||
-               conn->staged_bytes +
-                       conn->conduit_pending.load(std::memory_order_acquire) <
-                   options_.high_watermark;
-      };
-      bool woke = true;
-      if (options_.sink_timeout_s > 0) {
-        woke = conn->cv.wait_for(
-            lk, std::chrono::duration<double>(options_.sink_timeout_s),
-            drained);
-      } else {
-        conn->cv.wait(lk, drained);
-      }
-      if (!woke) {
-        // Stalled peer (above the watermark for the whole timeout): doom
-        // the connection so the serving thread closes it, and release this
-        // worker back to the shard's other sessions.
-        lk.unlock();
-        conn->doomed.store(true, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        mark_dirty(conn);
-        if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) wake();
-        return;
-      }
-      if (stopping_.load(std::memory_order_acquire) ||
-          conn->dead.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-    if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) wake();
-  }
-
-  void mark_dirty(const std::shared_ptr<Conn>& conn) {
-    if (!conn->dirty.exchange(true, std::memory_order_acq_rel)) {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.push_back(conn);
-    }
-  }
+  using ConnPtr = std::shared_ptr<Conn>;
 
   /// Nudges the serving thread out of submit_and_wait. MSG_RING posts a
   /// CQE straight onto the serving ring; the fallback writes the eventfd a
-  /// persistent read SQE is parked on. Either way: one syscall, counted.
+  /// persistent read SQE is parked on. Either way: one syscall (counted by
+  /// the core's coalescing nudge).
   void wake() {
     if (use_msg_ring_) {
       const std::lock_guard<std::mutex> lk(sender_mu_);
@@ -323,7 +187,6 @@ class UringServer {
     } else {
       wakeup_.signal();
     }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // -------------------------------------------------------- serving thread
@@ -333,17 +196,21 @@ class UringServer {
     arm_timeout();
     if (!use_msg_ring_) arm_wakeup_read();
     Uring::Cqe cqes[kReapBatch];
-    while (!stopping_.load(std::memory_order_acquire)) {
+    while (!core_.stopping()) {
       (void)ring_->submit_and_wait(1);
       std::size_t n;
       while ((n = ring_->reap(cqes)) != 0) {
         for (std::size_t i = 0; i < n; ++i) on_cqe(cqes[i]);
       }
-      // Clear-then-drain, same ordering argument as the epoll loop: a sink
-      // staging after the clear wakes us again; one staging before it is
-      // drained right here.
-      wake_pending_.store(false, std::memory_order_release);
-      drain_dirty();
+      core_.drain_dirty(
+          [this](const ConnPtr& conn) {
+            begin_close(conn);
+            maybe_finish_close(conn);
+          },
+          [this](Conn& conn) {
+            core_.after_flush(conn);
+            arm_send(conn);
+          });
     }
     teardown_drain();
   }
@@ -397,21 +264,16 @@ class UringServer {
     const int fd = cqe.res;
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    set_send_buffer(fd, options_.send_buffer);
-    const std::uint64_t key = next_conn_key_++;
-    auto conn = std::make_shared<Conn>(fd, key, options_.max_frame);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.emplace(key, conn);
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    set_send_buffer(fd, core_.options().send_buffer);
+    auto conn = std::make_shared<Conn>(fd, next_conn_key_++,
+                                       core_.options().max_frame);
     arm_recv(*conn);
+    core_.add_conn(std::move(conn));
     if (!multishot_accept_ && !cqe.more()) arm_accept();
   }
 
   void on_recv(const Uring::Cqe& cqe) {
-    const std::uint64_t key = ud_key(cqe.user_data);
-    const std::shared_ptr<Conn> conn = conn_of(key);
+    const ConnPtr conn = core_.conn_of(ud_key(cqe.user_data));
     const bool rearmed = cqe.more();
     if (!rearmed && conn) conn->recv_armed = false;
     if (!rearmed) inflight_--;
@@ -456,14 +318,15 @@ class UringServer {
     try {
       conn->conduit.feed(data);
     } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      core_.count_poison();
       begin_close(conn);
       alive = false;
     }
     if (cqe.has_buffer()) ring_->recycle_buffer(bid);
     if (alive) {
       while (auto frame = conn->conduit.next_frame()) {
-        if (!route_inbound(conn, std::move(*frame))) {
+        if (!core_.route_inbound(conn, std::move(*frame))) {
+          begin_close(conn);
           alive = false;
           break;
         }
@@ -478,7 +341,7 @@ class UringServer {
 
   void on_send(const Uring::Cqe& cqe) {
     inflight_--;
-    const std::shared_ptr<Conn> conn = conn_of(ud_key(cqe.user_data));
+    const ConnPtr conn = core_.conn_of(ud_key(cqe.user_data));
     if (!conn) return;
     conn->send_armed = false;
     if (conn->closing) {
@@ -491,14 +354,14 @@ class UringServer {
       return;
     }
     conn->conduit.consume(static_cast<std::size_t>(cqe.res));
-    after_drain(*conn);
+    core_.after_flush(*conn);
     arm_send(*conn);
   }
 
   // ------------------------------------------------------------ arm helpers
 
   void arm_accept() {
-    if (accept_armed_ || stopping_.load(std::memory_order_acquire)) return;
+    if (accept_armed_ || core_.stopping()) return;
     io_uring_sqe* sqe = ring_->get_sqe();
     Uring::prep_accept(*sqe, listener_.fd(), multishot_accept_,
                        make_ud(kUdAccept));
@@ -562,202 +425,24 @@ class UringServer {
     inflight_++;
   }
 
-  // ------------------------------------------------------- routing / drain
-
-  [[nodiscard]] std::shared_ptr<Conn> conn_of(std::uint64_t key) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = conns_.find(key);
-    return it == conns_.end() ? nullptr : it->second;
-  }
-
-  /// Same routing contract as SocketServer::route_inbound (route-first for
-  /// the HELLO_ACK race, hijack rejection, ERROR-reply containment, DONE/
-  /// ERROR route drop). Returns false when the connection began closing.
-  bool route_inbound(const std::shared_ptr<Conn>& conn,
-                     std::vector<std::byte> frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      begin_close(conn);
-      return false;
-    }
-    const auto type = static_cast<std::uint8_t>(frame[0]);
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kAdmin)) {
-      // Same transport-level interception as SocketServer::route_inbound:
-      // answered on the serving thread, never routed, never submitted.
-      handle_admin(conn, sid, frame);
-      return true;
-    }
-    bool inserted_route = false;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto [it, inserted] = routes_.emplace(sid, conn);
-      if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        stage_local(conn, sync::v2::make_error_frame(
-                              sid, "session belongs to another connection"));
-        return true;
-      }
-      inserted_route = inserted;
-    }
-    try {
-      engine_.submit(std::move(frame));
-    } catch (const sync::ProtocolError& e) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (inserted_route) drop_route_if_self(sid, *conn);
-      stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
-      return true;
-    }
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
-        type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
-      drop_route_if_self(sid, *conn);
-    }
-    return true;
-  }
-
-  void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) routes_.erase(it);
-  }
-
-  /// Snapshot composition and ADMIN answering, mirroring SocketServer
-  /// (see the comments there); only the server label differs.
-  [[nodiscard]] obs::MetricsSnapshot compose_snapshot() const {
-    obs::MetricsSnapshot snap = options_.metrics->snapshot();
-    append_server_stats(snap, stats(), {{"server", "uring"}});
-    sync::append_engine_totals(snap, engine_.stats().totals);
-    return snap;
-  }
-
-  void handle_admin(const std::shared_ptr<Conn>& conn, std::uint64_t sid,
-                    std::span<const std::byte> raw) {
-    std::string verb;
-    try {
-      const sync::v2::Frame frame = sync::v2::parse_frame(raw);
-      verb = sync::v2::error_text(frame);  // payload bytes as text
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(sid, "malformed ADMIN"));
-      return;
-    }
-    std::string body;
-    if ((verb == "METRICS" || verb == "METRICS_JSON") &&
-        options_.metrics != nullptr) {
-      const obs::MetricsSnapshot snap = compose_snapshot();
-      body = verb == "METRICS" ? obs::prometheus_text(snap)
-                               : obs::json_text(snap);
-    } else if (verb == "TRACE" && options_.tracer != nullptr) {
-      body = options_.tracer->chrome_json();
-    } else {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(
-                            sid, "unsupported ADMIN verb: " + verb));
-      return;
-    }
-    for (auto& reply : sync::v2::make_admin_reply(sid, body)) {
-      stage_local(conn, std::move(reply));
-    }
-  }
-
-  void stage_local(const std::shared_ptr<Conn>& conn,
-                   std::vector<std::byte> frame) {
-    {
-      const std::lock_guard<std::mutex> lk(conn->mu);
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-  }
-
-  void drain_dirty() {
-    std::vector<std::shared_ptr<Conn>> batch;
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      batch.swap(dirty_);
-    }
-    for (auto& conn : batch) {
-      conn->dirty.store(false, std::memory_order_release);
-      if (conn->closing) continue;
-      if (conn->doomed.load(std::memory_order_acquire)) {
-        begin_close(conn);  // sink timed out: stalled peer
-        maybe_finish_close(conn);
-        continue;
-      }
-      {
-        const std::lock_guard<std::mutex> lk(conn->mu);
-        for (auto& frame : conn->staged) conn->conduit.send(std::move(frame));
-        conn->staged.clear();
-        conn->staged_bytes = 0;
-      }
-      after_drain(*conn);
-      arm_send(*conn);
-    }
-  }
-
-  /// Post-drain bookkeeping shared by send completions and staging:
-  /// refresh the sink-visible pending mirror and release backpressured
-  /// workers once below the low watermark.
-  void after_drain(Conn& conn) {
-    const std::size_t pending = conn.conduit.pending_bytes();
-    conn.conduit_pending.store(pending, std::memory_order_release);
-    if (obs_conduit_depth_ != nullptr) obs_conduit_depth_->record(pending);
-    if (pending < options_.low_watermark) {
-      { const std::lock_guard<std::mutex> lk(conn.mu); }
-      conn.cv.notify_all();
-    }
-  }
-
   // ------------------------------------------------------------ close path
 
   /// First half of closing: stop the session (routes dropped, engine
   /// aborted, sinks released, socket shutdown so in-flight ops error out).
-  /// The Conn stays in conns_ until its last op completes -- the kernel
-  /// still owns references into its buffers.
-  void begin_close(const std::shared_ptr<Conn>& conn) {
+  /// The Conn stays in the core's table until its last op completes -- the
+  /// kernel still owns references into its buffers.
+  void begin_close(const ConnPtr& conn) {
     if (conn->closing) return;
     conn->closing = true;
-    {
-      const std::lock_guard<std::mutex> lk(conn->mu);
-      conn->dead.store(true, std::memory_order_release);
-    }
     conn->io.shutdown_both();
-    conn->cv.notify_all();
-    std::vector<std::uint64_t> orphaned;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto it = routes_.begin(); it != routes_.end();) {
-        if (it->second.get() == conn.get()) {
-          orphaned.push_back(it->first);
-          it = routes_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    // Abort the engine side of orphaned sessions (same rationale and same
-    // synthetic in-band ERROR as SocketServer::close_conn).
-    for (const std::uint64_t sid : orphaned) {
-      try {
-        engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-      } catch (const sync::ProtocolError&) {
-      }
-    }
+    core_.orphan(*conn);
   }
 
   /// Second half: once no op references the conn, close the fd and erase.
-  void maybe_finish_close(const std::shared_ptr<Conn>& conn) {
+  void maybe_finish_close(const ConnPtr& conn) {
     if (!conn->closing || conn->recv_armed || conn->send_armed) return;
     conn->io.close();
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.erase(conn->key);
-    }
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    core_.retire_conn(conn->key);
   }
 
   // -------------------------------------------------------------- teardown
@@ -766,10 +451,7 @@ class UringServer {
   /// every op (it may hold references into conn buffers until then; the
   /// iteration cap only guards against a kernel that ignores CANCEL_ANY).
   void teardown_drain() {
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto& [key, conn] : conns_) conn->io.shutdown_both();
-    }
+    for (const ConnPtr& conn : core_.conns()) conn->io.shutdown_both();
     io_uring_sqe* sqe = ring_->get_sqe();
     Uring::prep_cancel_all(*sqe, make_ud(kUdCancel));
     inflight_++;
@@ -795,14 +477,9 @@ class UringServer {
     // Every accepted conn must eventually count as closed (the epoll
     // server's invariant): conns whose terminal CQEs landed only during
     // teardown never went through maybe_finish_close, so settle them here.
-    std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> leftover;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      leftover.swap(conns_);
-    }
-    for (auto& [key, conn] : leftover) {
+    for (const ConnPtr& conn : core_.conns()) {
       conn->io.close();
-      closed_.fetch_add(1, std::memory_order_relaxed);
+      core_.retire_conn(conn->key);
     }
   }
 
@@ -835,7 +512,7 @@ class UringServer {
         if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
         if (!cqe.more()) {
           inflight_--;
-          if (auto conn = conn_of(ud_key(cqe.user_data))) {
+          if (auto conn = core_.conn_of(ud_key(cqe.user_data))) {
             conn->recv_armed = false;
           }
         }
@@ -843,15 +520,14 @@ class UringServer {
       }
       case kUdSend:
         inflight_--;
-        if (auto conn = conn_of(ud_key(cqe.user_data))) {
+        if (auto conn = core_.conn_of(ud_key(cqe.user_data))) {
           conn->send_armed = false;
         }
         break;
     }
   }
 
-  sync::ShardedEngine<T, Hasher>& engine_;
-  SocketServerOptions options_;
+  ServingCore<T, Hasher, Conn> core_;
   TcpListener listener_;
   std::unique_ptr<Uring> ring_;         ///< serving thread (after start)
   std::unique_ptr<Uring> sender_ring_;  ///< sink threads, sender_mu_-guarded
@@ -862,15 +538,7 @@ class UringServer {
   bool use_buf_ring_ = false;
   bool use_msg_ring_ = false;
   bool multishot_accept_ = true;
-
-  mutable std::mutex conns_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> routes_;  ///< sid->
   std::uint64_t next_conn_key_ = 1;  ///< serving thread only
-
-  std::mutex dirty_mu_;
-  std::vector<std::shared_ptr<Conn>> dirty_;
-  std::atomic<bool> wake_pending_{false};
 
   // Serving thread only: armed-op accounting for teardown.
   std::size_t inflight_ = 0;
@@ -879,17 +547,7 @@ class UringServer {
   bool wakeup_read_armed_ = false;
 
   std::thread serve_thread_;
-  std::atomic<bool> stopping_{false};
   bool running_ = false;
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
 };
 
 }  // namespace ribltx::net
@@ -914,7 +572,9 @@ enum class ServerBackend : std::uint8_t { kEpoll, kUring };
 
 /// "Best available server": UringServer when the build has io_uring support
 /// AND the runtime probe passes, else the epoll SocketServer -- one type
-/// callers can hold without caring which engine room they got.
+/// callers can hold without caring which engine room they got. (In an
+/// epoll-only build UringServer is the SocketServer alias and the probe is
+/// always false, so the same code compiles and picks epoll.)
 template <Symbol T, typename Hasher = SipHasher<T>>
 class AnyServer {
  public:
@@ -922,68 +582,36 @@ class AnyServer {
   explicit AnyServer(sync::ShardedEngine<T, Hasher>& engine,
                      SocketServerOptions options = {},
                      bool allow_uring = true) {
-#if defined(RIBLT_HAS_IO_URING)
     if (allow_uring && uring_available()) {
       uring_.emplace(engine, options);
-      backend_ = ServerBackend::kUring;
-      return;
+    } else {
+      epoll_.emplace(engine, options);
     }
-#else
-    (void)allow_uring;
-#endif
-    epoll_.emplace(engine, options);
-    backend_ = ServerBackend::kEpoll;
   }
 
-  [[nodiscard]] ServerBackend backend() const noexcept { return backend_; }
+  [[nodiscard]] ServerBackend backend() const noexcept {
+    return uring_ ? ServerBackend::kUring : ServerBackend::kEpoll;
+  }
 
   [[nodiscard]] std::uint16_t port() const noexcept {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->port();
-#endif
-    return epoll_->port();
+    return uring_ ? uring_->port() : epoll_->port();
   }
 
-  void start() {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) {
-      uring_->start();
-      return;
-    }
-#endif
-    epoll_->start();
-  }
+  void start() { uring_ ? uring_->start() : epoll_->start(); }
 
-  void stop() {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) {
-      uring_->stop();
-      return;
-    }
-#endif
-    epoll_->stop();
-  }
+  void stop() { uring_ ? uring_->stop() : epoll_->stop(); }
 
   [[nodiscard]] bool running() const noexcept {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->running();
-#endif
-    return epoll_->running();
+    return uring_ ? uring_->running() : epoll_->running();
   }
 
   [[nodiscard]] SocketServerStats stats() const {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->stats();
-#endif
-    return epoll_->stats();
+    return uring_ ? uring_->stats() : epoll_->stats();
   }
 
  private:
   std::optional<SocketServer<T, Hasher>> epoll_;
-#if defined(RIBLT_HAS_IO_URING)
   std::optional<UringServer<T, Hasher>> uring_;
-#endif
-  ServerBackend backend_ = ServerBackend::kEpoll;
 };
 
 }  // namespace ribltx::net

@@ -25,9 +25,9 @@
 //   ADMIN_RE  s->c  0x18 | uvarint sid | u8 final | uvarint len | chunk
 //
 // ADMIN is transport-level, not session-level: the servers
-// (net/socket_server.hpp, net/uring_server.hpp) and the Replica daemon
-// intercept it before engine submission and reply with the observability
-// snapshot the verb names ("METRICS" = Prometheus text, "METRICS_JSON" =
+// (net/serving_core.hpp) and the Replica daemon intercept it before
+// engine submission and answer it through v2::answer_admin() with the
+// observability snapshot the verb names ("METRICS" = Prometheus text, "METRICS_JSON" =
 // JSON, "TRACE" = chrome://tracing JSON), chunked into ADMIN_REPLY
 // frames whose `final` byte marks the last chunk. The engine itself
 // rejects ADMIN frames with a contained ProtocolError, so an admin verb
@@ -75,6 +75,7 @@
 #include "core/sketch.hpp"
 #include "core/symbol.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "sync/adaptive.hpp"
 #include "sync/error.hpp"
@@ -220,6 +221,46 @@ struct Frame {
     out.push_back(encode_frame(frame));
   } while (off < body.size());
   return out;
+}
+
+/// One answered ADMIN frame: the ADMIN_REPLY chunks, or (`ok` false) the
+/// single ERROR frame for a malformed frame, an unknown verb, or a verb
+/// whose tap is unset -- so a scraper always hears back.
+struct AdminAnswer {
+  bool ok = false;
+  std::vector<std::vector<std::byte>> frames;
+};
+
+/// The one ADMIN verb dispatcher (both socket servers and the Replica
+/// answer through it). "METRICS" (Prometheus text) and "METRICS_JSON"
+/// render `metrics`' snapshot after `compose(snapshot)` appends the
+/// caller's own families; "TRACE" renders `tracer` as chrome://tracing
+/// JSON. A null tap answers its verbs with an ERROR.
+template <typename Compose>
+[[nodiscard]] AdminAnswer answer_admin(std::uint64_t session_id,
+                                       std::span<const std::byte> raw,
+                                       obs::MetricsRegistry* metrics,
+                                       obs::Tracer* tracer,
+                                       Compose&& compose) {
+  std::string verb;
+  try {
+    verb = error_text(parse_frame(raw));  // payload bytes as text
+  } catch (const ProtocolError&) {
+    return {false, {make_error_frame(session_id, "malformed ADMIN")}};
+  }
+  std::string body;
+  if ((verb == "METRICS" || verb == "METRICS_JSON") && metrics != nullptr) {
+    obs::MetricsSnapshot snap = metrics->snapshot();
+    compose(snap);
+    body = verb == "METRICS" ? obs::prometheus_text(snap)
+                             : obs::json_text(snap);
+  } else if (verb == "TRACE" && tracer != nullptr) {
+    body = tracer->chrome_json();
+  } else {
+    return {false, {make_error_frame(session_id,
+                                     "unsupported ADMIN verb: " + verb)}};
+  }
+  return {true, make_admin_reply(session_id, body)};
 }
 
 }  // namespace v2

@@ -538,33 +538,17 @@ class Replica {
   }
 
   /// Answers one in-band ADMIN verb over the peer's link (the replica's
-  /// scrape endpoint; mirrors the socket servers' handle_admin).
+  /// scrape endpoint; same dispatcher as the socket servers).
   void admin_frame(Peer& peer, std::uint64_t sid,
                    std::span<const std::byte> frame) {
-    std::string verb;
-    try {
-      verb = v2::error_text(v2::parse_frame(frame));  // payload as text
-    } catch (const ProtocolError&) {
-      (void)send_to(peer, v2::make_error_frame(sid, "malformed ADMIN"));
-      return;
-    }
-    std::string body;
-    obs::MetricsRegistry* const m = options_.engine.metrics;
-    if ((verb == "METRICS" || verb == "METRICS_JSON") && m != nullptr) {
-      obs::MetricsSnapshot snap = m->snapshot();
-      append_replica_stats(
-          snap, stats(),
-          {{"replica", std::to_string(options_.replica_id)}});
-      body = verb == "METRICS" ? obs::prometheus_text(snap)
-                               : obs::json_text(snap);
-    } else if (verb == "TRACE" && options_.engine.tracer != nullptr) {
-      body = options_.engine.tracer->chrome_json();
-    } else {
-      (void)send_to(peer, v2::make_error_frame(
-                              sid, "unsupported ADMIN verb: " + verb));
-      return;
-    }
-    for (auto& reply : v2::make_admin_reply(sid, body)) {
+    v2::AdminAnswer answer = v2::answer_admin(
+        sid, frame, options_.engine.metrics, options_.engine.tracer,
+        [this](obs::MetricsSnapshot& snap) {
+          append_replica_stats(
+              snap, stats(),
+              {{"replica", std::to_string(options_.replica_id)}});
+        });
+    for (auto& reply : answer.frames) {
       if (!send_to(peer, std::move(reply))) return;
     }
   }

@@ -13,7 +13,8 @@
 //
 // Planning (how many symbols / which nodes) runs on the real data
 // structures; timing replays the plan through netsim with a calibrated CPU
-// model (DESIGN.md §1.4).
+// model (CpuModel below: per-operation costs fitted to the paper's
+// compute-bound anchors, standing in for its testbed hardware).
 #pragma once
 
 #include <cstdint>

@@ -308,6 +308,90 @@ TEST(Engine, ClientRejectsSymbolsBeforeHello) {
                ProtocolError);
 }
 
+TEST(Engine, IdenticalSetsCompleteOnTheFirstSymbolsFrame) {
+  // Equal sets subtract to an all-empty stream: the first coded symbol is
+  // already pure-empty, so the first SYMBOLS frame completes the session
+  // with an empty diff and the DONE closes it on the server.
+  const auto w = make_set_pair<Item32>(100, 0, 0, 5);
+  SyncEngine<Item32> engine;
+  for (const auto& x : w.a) engine.add_item(x);
+  SyncClient<Item32> client(1, BackendId::kRiblt);
+  for (const auto& y : w.b) client.add_item(y);
+  for (const auto& ack : engine.handle_frame(client.hello())) {
+    REQUIRE(client.handle_frame(ack).empty());
+  }
+  const auto first = engine.next_frame(1);
+  REQUIRE(first.has_value());
+  const auto replies = client.handle_frame(*first);
+  REQUIRE(client.complete());
+  CHECK(client.diff().remote.empty());
+  CHECK(client.diff().local.empty());
+  REQUIRE_EQ(replies.size(), 1u);
+  CHECK(v2::parse_frame(replies[0]).type == v2::FrameType::kDone);
+  (void)engine.handle_frame(replies[0]);
+  REQUIRE(engine.session(1) != nullptr);
+  CHECK(engine.session(1)->state == SessionState::kDone);
+}
+
+TEST(Engine, KeyedSessionsInteroperateAndMismatchedKeysNeverMisdecode) {
+  const auto w = make_set_pair<U64Symbol>(128, 5, 5, 6);
+  const SipHasher<U64Symbol> key_a(SipKey{123, 456});
+  using Engine = SyncEngine<U64Symbol, SipHasher<U64Symbol>>;
+  using Client = SyncClient<U64Symbol, SipHasher<U64Symbol>>;
+  Engine engine(key_a);
+  for (const auto& x : w.a) engine.add_item(x);
+  std::uint64_t sid = 0;
+  for (const BackendId backend : kAllBackends) {
+    // Equal keys: the keyed session reconciles exactly.
+    Client same(++sid, backend, key_a);
+    for (const auto& y : w.b) same.add_item(y);
+    pump_engine(engine, {&same});
+    REQUIRE(same.complete());
+    expect_diff_matches(same.diff(), w);
+  }
+  // Different keys make the two rateless streams mutually meaningless: no
+  // foreign-keyed symbol ever peels, so the client never completes -- and
+  // in particular never returns a wrong diff -- however long it listens.
+  Client other(++sid, BackendId::kRiblt, SipHasher<U64Symbol>(SipKey{2, 2}));
+  for (const auto& y : w.b) other.add_item(y);
+  pump_engine(engine, {&other}, /*max_frames=*/200);
+  CHECK(!other.complete());
+  CHECK(other.diff().remote.empty());
+  CHECK(other.diff().local.empty());
+}
+
+TEST(Engine, StaleSymbolsAfterDoneAreIgnoredByTheClient) {
+  // Frames already in flight when the client finished (a real link holds
+  // several) must not disturb its terminal state or its diff.
+  const auto w = make_set_pair<Item32>(32, 1, 0, 4);
+  SyncEngine<Item32> engine;
+  for (const auto& x : w.a) engine.add_item(x);
+  SyncClient<Item32> client(1, BackendId::kRiblt);
+  for (const auto& y : w.b) client.add_item(y);
+  for (const auto& ack : engine.handle_frame(client.hello())) {
+    (void)client.handle_frame(ack);
+  }
+  std::vector<std::vector<std::byte>> inflight;
+  for (int i = 0; i < 20; ++i) {
+    auto frame = engine.next_frame(1);
+    REQUIRE(frame.has_value());
+    inflight.push_back(std::move(*frame));
+  }
+  std::size_t dones = 0;
+  std::uint64_t payload_at_done = 0;
+  for (const auto& frame : inflight) {
+    for (const auto& reply : client.handle_frame(frame)) {
+      ++dones;
+      payload_at_done = client.payload_bytes();
+      (void)engine.handle_frame(reply);
+    }
+  }
+  CHECK_EQ(dones, 1u);
+  REQUIRE(client.complete());
+  CHECK_EQ(client.payload_bytes(), payload_at_done);
+  expect_diff_matches(client.diff(), w);
+}
+
 TEST(Engine, RejectsNegotiationMismatches) {
   SyncEngine<Item32> engine;
   v2::Frame hello;

@@ -204,14 +204,76 @@ TEST(PromLint, LiveScrapeUringMidLoad) {
 #endif
 }
 
-TEST(PromLint, ScrapeWithoutTapsGetsError) {
+/// Sends one raw ADMIN frame and returns the text of the in-band ERROR it
+/// draws (or a marker that cannot match any ERROR text).
+std::string admin_error(SocketClient& sock, std::vector<std::byte> raw) {
+  sock.send_frame(std::move(raw));
+  const auto reply = sock.recv_frame(/*timeout_s=*/20.0);
+  if (!reply) return "<no reply>";
+  const sync::v2::Frame frame = sync::v2::parse_frame(*reply);
+  if (frame.type != sync::v2::FrameType::kError) return "<not an ERROR>";
+  return sync::v2::error_text(frame);
+}
+
+/// An ADMIN frame whose routing prefix parses but whose body does not (a
+/// trailing byte past the verb).
+std::vector<std::byte> malformed_admin(std::uint64_t sid) {
+  std::vector<std::byte> raw = sync::v2::make_admin_frame(sid, "METRICS");
+  raw.push_back(std::byte{0});
+  return raw;
+}
+
+/// The ERROR texts an untapped server answers {unknown verb, malformed
+/// ADMIN} with; every such answer counts as a protocol error.
+template <typename Server>
+std::vector<std::string> untapped_admin_errors() {
   sync::ShardedEngine<Item8> engine(1);
-  SocketServer<Item8> server(engine);  // no metrics/tracer taps
+  Server server(engine);  // no metrics/tracer taps
   server.start();
   SocketClient sock(server.port());
-  ASSERT_THROW((void)scrape(sock, "METRICS"), sync::ProtocolError);
-  ASSERT_THROW((void)scrape(sock, "TRACE"), sync::ProtocolError);
+  EXPECT_THROW((void)scrape(sock, "METRICS"), sync::ProtocolError);
+  EXPECT_THROW((void)scrape(sock, "TRACE"), sync::ProtocolError);
+  std::vector<std::string> texts = {
+      admin_error(sock, sync::v2::make_admin_frame(3, "NO_SUCH_VERB")),
+      admin_error(sock, malformed_admin(4))};
   server.stop();
+  EXPECT_EQ(server.stats().protocol_errors, 4u);
+  return texts;
+}
+
+// One ADMIN dispatcher answers for both servers and the Replica tap, so
+// an unset tap, an unknown verb, and a malformed ADMIN draw byte-identical
+// ERROR text from all three.
+TEST(PromLint, ScrapeWithoutTapsGetsError) {
+  const std::vector<std::string> want = {
+      "unsupported ADMIN verb: NO_SUCH_VERB", "malformed ADMIN"};
+  ASSERT_EQ(untapped_admin_errors<SocketServer<Item8>>(), want);
+  if (uring_available()) {
+    ASSERT_EQ(untapped_admin_errors<UringServer<Item8>>(), want);
+  }
+
+  sync::ReplicaOptions options;
+  options.replica_id = 1;
+  options.jitter = 0;  // no metrics/tracer taps
+  sync::Replica<Item8> replica(options);
+  std::vector<std::vector<std::byte>> outbox;
+  replica.add_peer(2, [&outbox](std::vector<std::byte> f) {
+    outbox.push_back(std::move(f));
+    return true;
+  });
+  std::vector<std::string> got;
+  for (auto raw : {sync::v2::make_admin_frame(3, "NO_SUCH_VERB"),
+                   malformed_admin(4), sync::v2::make_admin_frame(5, "TRACE")}) {
+    outbox.clear();
+    replica.deliver(2, raw, 0.5);
+    ASSERT_EQ(outbox.size(), 1u);
+    const sync::v2::Frame frame = sync::v2::parse_frame(outbox[0]);
+    ASSERT_EQ(frame.type, sync::v2::FrameType::kError);
+    got.push_back(sync::v2::error_text(frame));
+  }
+  ASSERT_EQ(got[2], "unsupported ADMIN verb: TRACE");
+  got.pop_back();
+  ASSERT_EQ(got, want);
 }
 
 // -------------------------------------------------- replica admin tap

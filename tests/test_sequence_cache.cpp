@@ -1,7 +1,6 @@
 // Tests for the shared serving path's core structure: SequenceCache (lazy
 // doubling materialization, O(log m) in-place churn, churn journal) and its
-// snapshot Cursor (per-session consistency under concurrent churn), plus
-// the v1 ReconcileServer serving many sessions from one shared cache.
+// snapshot Cursor (per-session consistency under concurrent churn).
 //
 // Acceptance property (ISSUE 3): a churned cache decodes identically to a
 // freshly-built sketch of the final set, under randomized add/remove
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "core/riblt.hpp"
-#include "sync/protocol.hpp"
 #include "testutil.hpp"
 
 namespace ribltx {
@@ -491,76 +489,6 @@ TEST(SequenceCacheConcurrent, CompactionDuringConcurrentChurn) {
       break;
     }
   }
-}
-
-TEST(V1Protocol, SharedCacheServesSessionsAcrossChurn) {
-  // The §2 serving model through the v1 protocol: many ReconcileServer
-  // sessions over ONE cache, with churn between session opens. Each client
-  // must decode the diff against the server set as of its session start.
-  const auto w = make_set_pair<Item32>(250, 7, 4, 36);
-  auto cache = std::make_shared<SequenceCache<Item32>>();
-  for (const auto& x : w.a) cache->add_symbol(x);
-
-  // Pump a session (HELLO already delivered) to completion.
-  auto pump = [&](sync::ReconcileServer<Item32>& server,
-                  sync::ReconcileClient<Item32>& client) {
-    for (int i = 0; i < 1000 && !client.complete(); ++i) {
-      auto b = server.next_batch();
-      REQUIRE(b.has_value());
-      if (auto done = client.handle_message(*b)) {
-        server.handle_message(*done);
-      }
-    }
-    REQUIRE(client.complete());
-  };
-
-  // Session 1 pins its snapshot (S0 = w.a) at its first batch, so open it
-  // and pull one batch before churning.
-  auto s1 = sync::ReconcileServer<Item32>::serving(cache);
-  sync::ReconcileClient<Item32> c1;
-  for (const auto& y : w.b) c1.add_local_symbol(y);
-  s1.handle_message(c1.hello());
-  auto batch = s1.next_batch();
-  REQUIRE(batch.has_value());
-  if (auto done = c1.handle_message(*batch)) s1.handle_message(*done);
-
-  // Churn: S1 = S0 minus 3 shared items plus 2 fresh ones.
-  std::vector<Item32> set1(w.a.begin() + 3, w.a.end());
-  for (std::size_t i = 0; i < 3; ++i) cache->remove_symbol(w.a[i]);
-  for (std::size_t i = 0; i < 2; ++i) {
-    set1.push_back(Item32::random(derive_seed(3700, i)));
-    cache->add_symbol(set1.back());
-  }
-
-  // Session 2 snapshots S1.
-  auto s2 = sync::ReconcileServer<Item32>::serving(cache);
-  sync::ReconcileClient<Item32> c2;
-  for (const auto& y : w.b) c2.add_local_symbol(y);
-  s2.handle_message(c2.hello());
-  pump(s2, c2);
-
-  // Finish session 1 on its own S0 snapshot.
-  if (!c1.complete()) pump(s1, c1);
-
-  // Session 1 sees S0 \ B and B \ S0.
-  std::vector<Item32> c1_remote, c1_local;
-  for (const auto& s : c1.remote()) c1_remote.push_back(s.symbol);
-  for (const auto& s : c1.local()) c1_local.push_back(s.symbol);
-  CHECK(key_set(c1_remote) == key_set(w.only_a));
-  CHECK(key_set(c1_local) == key_set(w.only_b));
-
-  // Session 2 sees S1 \ B and B \ S1: the 3 removed shared items flip to
-  // the client side; the 2 fresh items join the server side.
-  std::vector<Item32> want_remote(w.only_a.begin(), w.only_a.end());
-  want_remote.push_back(set1[set1.size() - 2]);
-  want_remote.push_back(set1[set1.size() - 1]);
-  std::vector<Item32> want_local(w.only_b.begin(), w.only_b.end());
-  for (std::size_t i = 0; i < 3; ++i) want_local.push_back(w.a[i]);
-  std::vector<Item32> c2_remote, c2_local;
-  for (const auto& s : c2.remote()) c2_remote.push_back(s.symbol);
-  for (const auto& s : c2.local()) c2_local.push_back(s.symbol);
-  CHECK(key_set(c2_remote) == key_set(want_remote));
-  CHECK(key_set(c2_local) == key_set(want_local));
 }
 
 }  // namespace
