@@ -533,25 +533,28 @@ int run_chaos(const Options& opts) {
   std::uint64_t aborted = 0;
   std::uint64_t retries = 0;
   std::uint64_t converged_rounds = 0;
-  std::uint64_t reaped = 0;
-  std::uint64_t evicted = 0;
+  // The replicas' engines share the fleet registry, so its reap and evict
+  // counters are fleet totals.
+  const auto fleet_counter = [&snap](const char* name) {
+    const auto* series = snap.find_series(name);
+    return series == nullptr ? std::uint64_t{0} : series->counter;
+  };
+  const std::uint64_t reaped = fleet_counter("riblt_sessions_reaped_total");
+  const std::uint64_t evicted = fleet_counter("riblt_sessions_evicted_total");
   std::printf("# chaos anti-entropy: %zu replicas, %zu blocks, churn end "
               "%.1fs (sim)\n",
               fleet.replica_count(), params.blocks, fleet.churn_end());
-  std::printf("# replica  items  rounds_ok  aborted  retries  reaped\n");
+  std::printf("# replica  items  rounds_ok  aborted  retries\n");
   for (std::size_t i = 0; i < fleet.replica_count(); ++i) {
     const auto s = fleet.stats_of(i);
-    std::printf("%9zu %6zu %10llu %8llu %8llu %7llu\n", i + 1,
+    std::printf("%9zu %6zu %10llu %8llu %8llu\n", i + 1,
                 fleet.item_count_of(i),
                 static_cast<unsigned long long>(s.rounds_converged),
                 static_cast<unsigned long long>(s.rounds_aborted),
-                static_cast<unsigned long long>(s.retries),
-                static_cast<unsigned long long>(s.engine.sessions_reaped));
+                static_cast<unsigned long long>(s.retries));
     aborted += s.rounds_aborted;
     retries += s.retries;
     converged_rounds += s.rounds_converged;
-    reaped += s.engine.sessions_reaped;
-    evicted += s.engine.sessions_evicted;
   }
   std::printf("# staleness p50 %.3fs p99 %.3fs (%zu samples)\n", p50, p99,
               staleness.size());

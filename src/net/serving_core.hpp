@@ -25,17 +25,21 @@
 //                 failures inside an established session already produce
 //                 in-band ERROR frames from the engine.
 //
+//   accounting    the transport counters are registry cells (ServerCells),
+//                 bound to SocketServerOptions::metrics or to a private
+//                 registry; stats() is a typed read of them.
+//
 // Threads: sink() runs on the shard workers; everything else except stats()
 // runs on the server's single serving thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -46,7 +50,7 @@
 
 #include "net/frame_conduit.hpp"
 #include "net/tcp.hpp"
-#include "obs/prom.hpp"
+#include "obs/metrics.hpp"
 #include "sync/sharded.hpp"
 
 namespace ribltx::net {
@@ -75,24 +79,25 @@ struct SocketServerOptions {
   /// the single-shot recv / eventfd fallback paths without an old kernel.
   bool uring_buffer_ring = true;
   bool uring_msg_ring = true;
-  /// Live exposition taps (optional; must outlive the server). With
-  /// `metrics` set the in-band ADMIN verbs "METRICS" (Prometheus text)
-  /// and "METRICS_JSON" answer with a live registry snapshot composed
-  /// with the server's transport counters and the engine roll-up; with
-  /// `tracer` set "TRACE" answers with chrome://tracing JSON. A verb
-  /// whose tap is unset gets an in-band ERROR frame. Pass the same
-  /// registry/tracer the engine's EngineOptions carry so one scrape
-  /// covers every tier.
+  /// Live exposition taps (optional; must outlive the server). The
+  /// server's transport counters live in `metrics` (or in a private
+  /// registry when it is null), and with it set the in-band ADMIN verbs
+  /// "METRICS" (Prometheus text) and "METRICS_JSON" answer with a live
+  /// snapshot of it; with `tracer` set "TRACE" answers with
+  /// chrome://tracing JSON. A verb whose tap is unset gets an in-band
+  /// ERROR frame. Pass the same registry/tracer the engine's
+  /// EngineOptions carry so one scrape covers every tier.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 
-/// Transport-layer counters (engine-layer stats live in ShardedStats).
-/// The syscall columns are the bench's syscalls/session source -- counted
-/// at the call sites, not strace'd -- and are populated by both servers:
-/// the epoll path counts read/sendmsg/epoll_wait/eventfd-write; the uring
-/// path counts io_uring_enter under `syscalls_wait` (its only steady-state
-/// syscall) plus `sqe_submits` for the batching numerator.
+/// Transport-layer counters (engine-layer stats live in ShardedStats),
+/// read back from the server's cells. The syscall columns are the bench's
+/// syscalls/session source -- counted at the call sites, not strace'd --
+/// and are populated by both servers: the epoll path counts
+/// read/sendmsg/epoll_wait/eventfd-write; the uring path counts
+/// io_uring_enter under `syscalls_wait` (its only steady-state syscall)
+/// plus `sqe_submits` for the batching numerator.
 struct SocketServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -110,13 +115,10 @@ struct SocketServerStats {
   /// Total data-path syscalls (sqe_submits excluded: an SQE is not a
   /// syscall, that is the whole point).
   ///
-  /// Consistency (audited): this sums columns of ONE materialized stats()
-  /// snapshot, so it can never tear a live counter mid-read -- but the
-  /// snapshot itself samples each underlying atomic with a separate
-  /// relaxed load. Each column is individually torn-free (single 64-bit
-  /// atomics) and monotone across successive snapshots; the SUM is a
-  /// smear: a read counted between the syscalls_read load and the
-  /// syscalls_wait load lands in neither. Deltas between two snapshots
+  /// Consistency: each column is one relaxed load of its cell, so each is
+  /// torn-free and monotone across successive stats() calls, but the SUM
+  /// is a smear: a read counted between the syscalls_read load and the
+  /// syscalls_wait load lands in neither. Deltas between two samples
   /// bracket the true syscall count, which is what the benches divide by
   /// sessions. Same contract as obs::MetricsRegistry::snapshot().
   [[nodiscard]] std::uint64_t syscalls() const noexcept {
@@ -124,49 +126,72 @@ struct SocketServerStats {
   }
 };
 
-/// Appends the transport counters as synthetic snapshot families -- the
-/// "thin view" composition: the hot counters stay in the server's padded
-/// atomics, and scrape time folds one stats() sample into the exposition
-/// next to the registry-native families. `labels` distinguishes servers
-/// sharing a registry (conventionally {{"server", "epoll"|"uring"}}).
-inline void append_server_stats(obs::MetricsSnapshot& snap,
-                                const SocketServerStats& s,
-                                obs::Labels labels = {}) {
-  snap.add_counter("riblt_server_connections_accepted_total",
-                   "Connections accepted", s.connections_accepted, labels);
-  snap.add_counter("riblt_server_connections_closed_total",
-                   "Connections closed", s.connections_closed, labels);
-  snap.add_counter("riblt_server_frames_in_total",
-                   "Frames reassembled off sockets", s.frames_in, labels);
-  snap.add_counter("riblt_server_frames_out_total",
-                   "Frames staged for sending", s.frames_out, labels);
-  snap.add_counter("riblt_server_frames_dropped_total",
-                   "Outbound frames with no live route", s.frames_dropped,
-                   labels);
-  snap.add_counter("riblt_server_protocol_errors_total",
-                   "Router rejects plus framing poisons", s.protocol_errors,
-                   labels);
-  auto op = [&labels](const char* v) {
-    obs::Labels l = labels;
-    l.emplace_back("op", v);
-    return l;
-  };
-  const char* const syscall_help = "Data-path syscalls by call site";
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_read, op("read"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_write, op("write"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_wait, op("wait"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help, s.wakeups,
-                   op("wakeup"));
-  snap.add_counter("riblt_server_sqe_submits_total",
-                   "SQEs handed to the kernel (uring)", s.sqe_submits,
-                   labels);
-  snap.add_gauge("riblt_server_routes",
-                 "Live session-to-connection routes",
-                 static_cast<std::int64_t>(s.routes), labels);
-}
+/// A server's registry cells, labeled {server=<label>} (and {op=...} for
+/// the syscall family).
+struct ServerCells {
+  ServerCells(obs::MetricsRegistry& m, const char* label) {
+    const obs::Labels l{{"server", label}};
+    const auto op = [&l](const char* v) {
+      obs::Labels out = l;
+      out.emplace_back("op", v);
+      return out;
+    };
+    const char* const syscall_help = "Data-path syscalls by call site";
+    accepted = &m.counter("riblt_server_connections_accepted_total",
+                          "Connections accepted", l);
+    closed = &m.counter("riblt_server_connections_closed_total",
+                        "Connections closed", l);
+    frames_in = &m.counter("riblt_server_frames_in_total",
+                           "Frames reassembled off sockets", l);
+    frames_out = &m.counter("riblt_server_frames_out_total",
+                            "Frames staged for sending", l);
+    dropped = &m.counter("riblt_server_frames_dropped_total",
+                         "Outbound frames with no live route", l);
+    protocol_errors = &m.counter("riblt_server_protocol_errors_total",
+                                 "Router rejects plus framing poisons", l);
+    syscalls_read = &m.counter("riblt_server_syscalls_total", syscall_help,
+                               op("read"));
+    syscalls_write = &m.counter("riblt_server_syscalls_total", syscall_help,
+                                op("write"));
+    syscalls_wait = &m.counter("riblt_server_syscalls_total", syscall_help,
+                               op("wait"));
+    wakeups = &m.counter("riblt_server_syscalls_total", syscall_help,
+                         op("wakeup"));
+    sqe_submits = &m.counter("riblt_server_sqe_submits_total",
+                             "SQEs handed to the kernel (uring)", l);
+    routes = &m.gauge("riblt_server_routes",
+                      "Live session-to-connection routes", l);
+    conduit_depth = &m.histogram(
+        "riblt_server_conduit_pending_bytes",
+        "Bytes queued in a connection's conduit after a flush", l);
+  }
+
+  /// One relaxed load per cell, in SocketServerStats field order.
+  [[nodiscard]] SocketServerStats stats() const {
+    return {accepted->load(),      closed->load(),
+            frames_in->load(),     frames_out->load(),
+            dropped->load(),       protocol_errors->load(),
+            syscalls_read->load(), syscalls_write->load(),
+            syscalls_wait->load(), wakeups->load(),
+            sqe_submits->load(),
+            static_cast<std::uint64_t>(
+                std::max<std::int64_t>(0, routes->load()))};
+  }
+
+  obs::Counter* accepted = nullptr;
+  obs::Counter* closed = nullptr;
+  obs::Counter* frames_in = nullptr;
+  obs::Counter* frames_out = nullptr;
+  obs::Counter* dropped = nullptr;
+  obs::Counter* protocol_errors = nullptr;
+  obs::Counter* syscalls_read = nullptr;
+  obs::Counter* syscalls_write = nullptr;
+  obs::Counter* syscalls_wait = nullptr;
+  obs::Counter* wakeups = nullptr;
+  obs::Counter* sqe_submits = nullptr;
+  obs::Gauge* routes = nullptr;  ///< moved by deltas under conns_mu_
+  obs::Histogram* conduit_depth = nullptr;
+};
 
 /// Per-connection state both servers share; each server's Conn derives
 /// from it and adds only its I/O loop's own fields.
@@ -199,27 +224,16 @@ template <Symbol T, typename Hasher, typename Conn>
 class ServingCore {
  public:
   using ConnPtr = std::shared_ptr<Conn>;
-  /// Fills the transport-specific syscall columns of a stats() sample
-  /// (scrape time only, never on the per-frame path).
-  using IoStats = std::function<void(SocketServerStats&)>;
 
   /// `label` names the server in the exposition ("epoll" | "uring").
   ServingCore(sync::ShardedEngine<T, Hasher>& engine,
-              const SocketServerOptions& options, const char* label,
-              IoStats io_stats)
+              const SocketServerOptions& options, const char* label)
       : engine_(engine),
         options_(options),
-        label_(label),
-        io_stats_(std::move(io_stats)) {
+        cells_(obs::registry_or_own(options.metrics, own_metrics_), label) {
     if (options_.low_watermark >= options_.high_watermark) {
       throw std::invalid_argument("SocketServerOptions: watermarks out of "
                                   "order");
-    }
-    if (options_.metrics != nullptr) {
-      obs_conduit_depth_ = &options_.metrics->histogram(
-          "riblt_server_conduit_pending_bytes",
-          "Bytes queued in a connection's conduit after a flush",
-          {{"server", label_}});
     }
   }
 
@@ -263,26 +277,17 @@ class ServingCore {
     {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.clear();
+      cells_.routes->add(-static_cast<std::int64_t>(routes_.size()));
       routes_.clear();
     }
     const std::lock_guard<std::mutex> lk(dirty_mu_);
     dirty_.clear();
   }
 
-  [[nodiscard]] SocketServerStats stats() const {
-    SocketServerStats out;
-    out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-    out.connections_closed = closed_.load(std::memory_order_relaxed);
-    out.frames_in = frames_in_.load(std::memory_order_relaxed);
-    out.frames_out = frames_out_.load(std::memory_order_relaxed);
-    out.frames_dropped = dropped_.load(std::memory_order_relaxed);
-    out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    out.wakeups = wakeups_.load(std::memory_order_relaxed);
-    io_stats_(out);
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    out.routes = routes_.size();
-    return out;
-  }
+  [[nodiscard]] SocketServerStats stats() const { return cells_.stats(); }
+
+  /// The server's cells; the I/O loops count their syscalls here.
+  [[nodiscard]] const ServerCells& cells() const noexcept { return cells_; }
 
   // ------------------------------------------------------ connection table
 
@@ -291,7 +296,7 @@ class ServingCore {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.emplace(conn->key, std::move(conn));
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    cells_.accepted->inc();
   }
 
   [[nodiscard]] ConnPtr conn_of(std::uint64_t key) const {
@@ -314,14 +319,12 @@ class ServingCore {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.erase(key);
     }
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    cells_.closed->inc();
   }
 
   /// Framing poisoned (oversized/garbled length): unrecoverable on a byte
   /// stream; the caller closes the connection.
-  void count_poison() {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_poison() { cells_.protocol_errors->inc(); }
 
   // ---------------------------------------------------------- serving path
 
@@ -330,14 +333,14 @@ class ServingCore {
   /// prefix); the caller then closes it its own way.
   [[nodiscard]] bool route_inbound(const ConnPtr& conn,
                                    std::vector<std::byte> frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    cells_.frames_in->inc();
     std::uint64_t sid = 0;
     try {
       // Also rejects the empty (zero-length) frame, so the type read below
       // is in bounds.
       sid = sync::v2::peek_session_id(frame);
     } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      cells_.protocol_errors->inc();
       return false;
     }
     const auto type = static_cast<std::uint8_t>(frame[0]);
@@ -358,8 +361,9 @@ class ServingCore {
       // the live session.
       const std::lock_guard<std::mutex> lk(conns_mu_);
       const auto [it, inserted] = routes_.emplace(sid, conn);
+      if (inserted) cells_.routes->add(1);
       if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        cells_.protocol_errors->inc();
         stage_local(conn, sync::v2::make_error_frame(
                               sid, "session belongs to another connection"));
         return true;
@@ -373,7 +377,7 @@ class ServingCore {
       // HELLO): contained to this session; tell the peer in-band. Only a
       // route THIS frame created is undone -- a duplicate HELLO must not
       // sever the live session's reply route.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      cells_.protocol_errors->inc();
       if (inserted_route) drop_route_if_self(sid, *conn);
       stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
       return true;
@@ -435,7 +439,7 @@ class ServingCore {
   void after_flush(Conn& conn) {
     const std::size_t pending = conn.conduit.pending_bytes();
     conn.conduit_pending.store(pending, std::memory_order_release);
-    if (obs_conduit_depth_ != nullptr) obs_conduit_depth_->record(pending);
+    cells_.conduit_depth->record(pending);
     if (pending < options_.low_watermark) {
       // Lock-then-notify so a sink between predicate check and park
       // cannot miss the drain.
@@ -471,6 +475,7 @@ class ServingCore {
           ++it;
         }
       }
+      cells_.routes->add(-static_cast<std::int64_t>(orphaned.size()));
     }
     for (const std::uint64_t sid : orphaned) {
       try {
@@ -484,16 +489,20 @@ class ServingCore {
  private:
   /// Delivery callback running on the shard workers. Blocking here is the
   /// designed backpressure: the worker stops pumping this shard's sessions
-  /// until the peer's socket drains.
+  /// until the peer's socket drains. An ERROR ends its session on the
+  /// engine side (contained failure, idle reap, cap eviction, rejected
+  /// HELLO), so staging one also drops the session's route.
   template <typename Wake>
   void sink(std::vector<std::byte> frame, const Wake& wake) {
     std::uint64_t sid = 0;
     try {
       sid = sync::v2::peek_session_id(frame);
     } catch (const sync::ProtocolError&) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      cells_.dropped->inc();
       return;  // engine frames are well-formed; defensive only
     }
+    const bool ends_session =
+        frame[0] == static_cast<std::byte>(sync::v2::FrameType::kError);
     ConnPtr conn;
     {
       const std::lock_guard<std::mutex> lk(conns_mu_);
@@ -501,7 +510,7 @@ class ServingCore {
       if (it != routes_.end()) conn = it->second;
     }
     if (!conn) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      cells_.dropped->inc();
       return;  // peer disconnected (or finished) mid-stream
     }
     {
@@ -528,20 +537,21 @@ class ServingCore {
         // worker is free to serve the shard's other sessions again.
         lk.unlock();
         conn->doomed.store(true, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        cells_.dropped->inc();
         mark_dirty(conn);
         nudge(wake);
         return;
       }
       if (stopping_.load(std::memory_order_acquire) ||
           conn->dead.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        cells_.dropped->inc();
         return;
       }
       conn->staged_bytes += frame.size();
       conn->staged.push_back(std::move(frame));
     }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    cells_.frames_out->inc();
+    if (ends_session) drop_route_if_self(sid, *conn);
     mark_dirty(conn);
     nudge(wake);
   }
@@ -554,7 +564,7 @@ class ServingCore {
   void nudge(const Wake& wake) {
     if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
       wake();
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
+      cells_.wakeups->inc();
     }
   }
 
@@ -578,38 +588,36 @@ class ServingCore {
       conn->staged_bytes += frame.size();
       conn->staged.push_back(std::move(frame));
     }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    cells_.frames_out->inc();
     mark_dirty(conn);
   }
 
   void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
     const std::lock_guard<std::mutex> lk(conns_mu_);
     const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) routes_.erase(it);
+    if (it != routes_.end() && it->second.get() == &conn) {
+      routes_.erase(it);
+      cells_.routes->add(-1);
+    }
   }
 
-  /// Answers one ADMIN verb in-band through the shared dispatcher; the
-  /// METRICS snapshot composes this server's transport counters and the
-  /// engine roll-up (engine_.stats() takes each shard lock briefly;
-  /// workers never block holding one -- sinks run outside the shard lock
-  /// -- so this cannot deadlock against backpressure). ERROR answers count
-  /// as protocol errors.
+  /// Answers one ADMIN verb in-band through the shared dispatcher (a
+  /// snapshot of the tapped registry: every tier's cells, no locks).
+  /// ERROR answers count as protocol errors.
   void handle_admin(const ConnPtr& conn, std::uint64_t sid,
                     std::span<const std::byte> raw) {
     sync::v2::AdminAnswer answer = sync::v2::answer_admin(
-        sid, raw, options_.metrics, options_.tracer,
-        [this](obs::MetricsSnapshot& snap) {
-          append_server_stats(snap, stats(), {{"server", label_}});
-          sync::append_engine_totals(snap, engine_.stats().totals);
-        });
-    if (!answer.ok) protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        sid, raw, options_.metrics, options_.tracer);
+    if (!answer.ok) cells_.protocol_errors->inc();
     for (auto& reply : answer.frames) stage_local(conn, std::move(reply));
   }
 
   sync::ShardedEngine<T, Hasher>& engine_;
   const SocketServerOptions options_;
-  const char* const label_;
-  const IoStats io_stats_;
+  /// Private registry when options_.metrics is null; declared before
+  /// cells_ so it outlives them.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  const ServerCells cells_;
 
   mutable std::mutex conns_mu_;
   std::unordered_map<std::uint64_t, ConnPtr> conns_;
@@ -619,15 +627,6 @@ class ServingCore {
   std::vector<ConnPtr> dirty_;  ///< staged-but-undrained conns
   std::atomic<bool> wake_pending_{false};  ///< wakeup coalescing
   std::atomic<bool> stopping_{false};
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
 };
 
 }  // namespace ribltx::net

@@ -27,11 +27,15 @@ namespace ribltx::net {
 class SocketClient {
  public:
   /// Connects to 127.0.0.1:`port` (blocking fd). `recv_buffer` != 0 caps
-  /// SO_RCVBUF before connecting: a small receive window is the client's
-  /// half of bounding how far a rateless server streams past the DONE.
+  /// SO_RCVBUF before connecting; the default 0 keeps the kernel's
+  /// autotuned window. A capped window stalls unpaced loopback streams on
+  /// TCP persist-timer probes (~200 ms a stall), and it is not what bounds
+  /// a stream's runway past the DONE: pacing does for adaptive sessions,
+  /// and the server's high watermark plus its SO_SNDBUF do for unpaced
+  /// ones.
   explicit SocketClient(std::uint16_t port,
                         std::size_t max_frame = FrameConduit::kDefaultMaxFrame,
-                        int recv_buffer = 64 << 10);
+                        int recv_buffer = 0);
 
   /// Queues and fully flushes one frame (blocking).
   void send_frame(std::vector<std::byte> frame);

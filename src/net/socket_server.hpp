@@ -11,7 +11,6 @@
 // shared policy in net/serving_core.hpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <memory>
@@ -30,16 +29,7 @@ class SocketServer {
   /// the engine must not be start()ed -- the server owns its sink.
   explicit SocketServer(sync::ShardedEngine<T, Hasher>& engine,
                         SocketServerOptions options = {})
-      : core_(engine, options, "epoll",
-              [this](SocketServerStats& out) {
-                out.syscalls_read =
-                    syscalls_read_.load(std::memory_order_relaxed);
-                out.syscalls_write =
-                    syscalls_write_.load(std::memory_order_relaxed);
-                out.syscalls_wait =
-                    syscalls_wait_.load(std::memory_order_relaxed);
-              }),
-        listener_(options.port) {}
+      : core_(engine, options, "epoll"), listener_(options.port) {}
 
   ~SocketServer() { stop(); }
 
@@ -91,7 +81,7 @@ class SocketServer {
     Poller::Event events[64];
     while (!core_.stopping()) {
       const std::size_t n = poller_.wait(events, /*timeout_ms=*/200);
-      syscalls_wait_.fetch_add(1, std::memory_order_relaxed);
+      core_.cells().syscalls_wait->inc();
       for (std::size_t i = 0; i < n; ++i) {
         const Poller::Event& ev = events[i];
         if (ev.key == kListenerKey) {
@@ -136,7 +126,7 @@ class SocketServer {
     std::byte buf[64 * 1024];
     for (;;) {
       const TcpConn::IoResult r = conn->io.read_some(buf);
-      syscalls_read_.fetch_add(1, std::memory_order_relaxed);
+      core_.cells().syscalls_read->inc();
       if (r.status == TcpConn::Io::kWouldBlock) break;
       if (r.status == TcpConn::Io::kClosed) {
         close_conn(*conn);
@@ -169,7 +159,7 @@ class SocketServer {
       const TcpConn::IoResult r =
           conn.io.write_gather(std::span<const std::span<const std::byte>>(
               chunks, n));
-      syscalls_write_.fetch_add(1, std::memory_order_relaxed);
+      core_.cells().syscalls_write->inc();
       if (r.status == TcpConn::Io::kClosed) {
         close_conn(conn);
         return;
@@ -202,10 +192,6 @@ class SocketServer {
   std::thread poll_thread_;
   std::uint64_t next_conn_key_ = kFirstConnKey;  ///< poll thread only
   bool running_ = false;
-
-  std::atomic<std::uint64_t> syscalls_read_{0};
-  std::atomic<std::uint64_t> syscalls_write_{0};
-  std::atomic<std::uint64_t> syscalls_wait_{0};
 };
 
 }  // namespace ribltx::net

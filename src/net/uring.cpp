@@ -217,7 +217,7 @@ int Uring::enter(unsigned to_submit, unsigned min_complete, unsigned flags) {
     } while (r < 0 && errno == EINTR);
   }
   if (r < 0) throw_errno("io_uring_enter");
-  enters_.fetch_add(1, std::memory_order_relaxed);
+  if (enters_ != nullptr) enters_->inc();
   return r;
 }
 
@@ -227,8 +227,9 @@ unsigned Uring::submit() {
   if (pending == 0) return 0;
   const int consumed = enter(pending, 0, 0);
   submitted_ += static_cast<unsigned>(consumed);
-  sqe_count_.fetch_add(static_cast<unsigned>(consumed),
-                       std::memory_order_relaxed);
+  if (sqes_submitted_ != nullptr) {
+    sqes_submitted_->inc(static_cast<unsigned>(consumed));
+  }
   return static_cast<unsigned>(consumed);
 }
 
@@ -237,8 +238,9 @@ unsigned Uring::submit_and_wait(unsigned min_complete) {
   const unsigned pending = local_tail_ - submitted_;
   const int consumed = enter(pending, min_complete, IORING_ENTER_GETEVENTS);
   submitted_ += static_cast<unsigned>(consumed);
-  sqe_count_.fetch_add(static_cast<unsigned>(consumed),
-                       std::memory_order_relaxed);
+  if (sqes_submitted_ != nullptr) {
+    sqes_submitted_->inc(static_cast<unsigned>(consumed));
+  }
   return static_cast<unsigned>(consumed);
 }
 
@@ -381,14 +383,6 @@ void Uring::prep_cancel_all(io_uring_sqe& s,
   s.fd = -1;
   s.cancel_flags = IORING_ASYNC_CANCEL_ANY;
   s.user_data = user_data;
-}
-
-std::uint64_t Uring::enter_calls() const noexcept {
-  return enters_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Uring::sqes_submitted() const noexcept {
-  return sqe_count_.load(std::memory_order_relaxed);
 }
 
 }  // namespace ribltx::net

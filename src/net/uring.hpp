@@ -31,6 +31,8 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 #if defined(RIBLT_HAS_IO_URING)
 #include <linux/io_uring.h>
 #include <linux/time_types.h>
@@ -151,10 +153,14 @@ class Uring {
 
   // ------------------------------------------------------- accounting
 
-  /// io_uring_enter syscalls made (the uring side of syscalls/session).
-  [[nodiscard]] std::uint64_t enter_calls() const noexcept;
-  /// SQEs handed to the kernel (submission batching numerator).
-  [[nodiscard]] std::uint64_t sqes_submitted() const noexcept;
+  /// Counts this ring's io_uring_enter syscalls (the uring side of
+  /// syscalls/session) and the SQEs they hand the kernel (the submission
+  /// batching numerator) into the given cells; unbound rings count
+  /// nothing. Both must outlive the ring.
+  void count_into(obs::Counter* enters, obs::Counter* sqes) noexcept {
+    enters_ = enters;
+    sqes_submitted_ = sqes;
+  }
 
  private:
   void flush_tail() noexcept;
@@ -188,10 +194,8 @@ class Uring {
   std::size_t br_buf_size_ = 0;
   std::vector<std::byte> br_data_;
 
-  // Relaxed: the owning thread increments, stats() readers only need a
-  // recent value.
-  std::atomic<std::uint64_t> enters_{0};
-  std::atomic<std::uint64_t> sqe_count_{0};
+  obs::Counter* enters_ = nullptr;          ///< see count_into()
+  obs::Counter* sqes_submitted_ = nullptr;  ///< see count_into()
 };
 
 #endif  // RIBLT_HAS_IO_URING

@@ -66,17 +66,12 @@ class UringServer {
   /// failing later -- when io_uring is unusable. Gate on uring_available().
   explicit UringServer(sync::ShardedEngine<T, Hasher>& engine,
                        SocketServerOptions options = {})
-      : core_(engine, options, "uring",
-              [this](SocketServerStats& out) {
-                // The uring data path's only steady-state syscall is
-                // io_uring_enter.
-                out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
-                out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
-              }),
-        listener_(options.port) {
+      : core_(engine, options, "uring"), listener_(options.port) {
     // Deep CQ: multishot accept/recv complete many times per SQE, and an
     // overflowed CQ stalls the whole ring.
     ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries);
+    // The uring data path's only steady-state syscall is io_uring_enter.
+    ring_->count_into(core_.cells().syscalls_wait, core_.cells().sqe_submits);
     use_buf_ring_ = options.uring_buffer_ring &&
                     ring_->setup_buf_ring(kBufGroup, kBufRingEntries,
                                           kRecvBufSize);

@@ -14,8 +14,9 @@
 //     that buys -- and what it does not.
 //
 // Snapshot consistency model (the contract every scrape-facing surface
-// in this tree documents against, including SocketServerStats and
-// ShardedEngine's EngineTotals roll-up):
+// in this tree documents against -- the typed stats() reads included:
+// EngineTotals, ShardedStats, SocketServerStats, and ReplicaStats are
+// loads of the same cells a scrape walks):
 //
 //   * Each individual cell (one counter, one gauge, one histogram
 //     bucket) is a single 64-bit atomic: a snapshot of it is always a
@@ -214,6 +215,9 @@ class Histogram : public HistogramLayout {
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t sum() const noexcept {
+    return sum_.load(std::memory_order_relaxed);
+  }
 
   [[nodiscard]] HistogramSnapshot snapshot() const {
     HistogramSnapshot s;
@@ -261,26 +265,6 @@ struct MetricsSnapshot {
     return nullptr;
   }
 
-  /// Appends a counter sample to the snapshot (creating the family on
-  /// first use): how the transport and engine tiers expose their
-  /// existing stats structs as thin views at scrape time without
-  /// re-homing every hot atomic into the registry.
-  void add_counter(std::string_view name, std::string_view help,
-                   std::uint64_t value, Labels labels = {}) {
-    Series s;
-    s.labels = std::move(labels);
-    s.counter = value;
-    family(name, help, MetricKind::kCounter).series.push_back(std::move(s));
-  }
-
-  void add_gauge(std::string_view name, std::string_view help,
-                 std::int64_t value, Labels labels = {}) {
-    Series s;
-    s.labels = std::move(labels);
-    s.gauge = value;
-    family(name, help, MetricKind::kGauge).series.push_back(std::move(s));
-  }
-
   /// First series of `name` whose labels contain every (k, v) in
   /// `subset` (empty subset: the first series). Null when absent.
   [[nodiscard]] const Series* find_series(std::string_view name,
@@ -306,27 +290,17 @@ struct MetricsSnapshot {
     }
     return nullptr;
   }
-
- private:
-  Family& family(std::string_view name, std::string_view help,
-                 MetricKind kind) {
-    for (Family& f : families) {
-      if (f.name == name) return f;
-    }
-    Family f;
-    f.name = std::string(name);
-    f.help = std::string(help);
-    f.kind = kind;
-    families.push_back(std::move(f));
-    return families.back();
-  }
 };
 
 /// Name -> series registry. Registration is mutexed and dedupes on
-/// (name, sorted labels) -- asking twice returns the same handle, which
-/// is what lets K shard engines share one set of process-wide cells.
-/// Handles are valid for the registry's lifetime (deque storage: no
-/// reallocation ever moves a cell).
+/// (name, sorted labels) -- asking twice returns the same handle. A
+/// registry is one node's view: owners that register the same series
+/// share its cell (the K shards of a ShardedEngine by design, and every
+/// engine of a simulated fleet bound to one registry), so owners whose
+/// facts must stay apart label them (Replica's {replica=id}). Shared
+/// gauges therefore move by add(), never set(). Handles are valid for
+/// the registry's lifetime (deque storage: no reallocation ever moves a
+/// cell).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -466,5 +440,15 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;  ///< ordered -> stable render
 };
+
+/// The registry an owner binds its accounting cells to: the caller's
+/// when one is passed, else a private one parked in `own` for the
+/// owner's lifetime -- so stats() reads the same cells either way.
+inline MetricsRegistry& registry_or_own(MetricsRegistry* caller,
+                                        std::unique_ptr<MetricsRegistry>& own) {
+  if (caller != nullptr) return *caller;
+  own = std::make_unique<MetricsRegistry>();
+  return *own;
+}
 
 }  // namespace ribltx::obs

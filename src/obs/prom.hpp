@@ -1,9 +1,7 @@
 // Prometheus text exposition (0.0.4) and JSON rendering for
-// MetricsSnapshot, plus PromWriter -- the low-level line writer the
-// servers use to expose their existing stats structs as thin views
-// without re-homing every atomic into the registry -- and an in-tree
-// exposition-format lint (the ctest target test_promlint runs live
-// scrape output through it).
+// MetricsSnapshot, plus PromWriter -- the line writer the text renderer
+// is built on -- and an in-tree exposition-format lint (the ctest target
+// test_promlint runs live scrape output through it).
 //
 // Histogram rendering emits cumulative `le` buckets only at boundaries
 // that end a nonzero bucket (plus +Inf). Dropping empty boundaries is
@@ -50,8 +48,7 @@ namespace ribltx::obs {
 
 /// Line-level writer for the text exposition format. Families must be
 /// written contiguously (help/type once, then every sample); the
-/// registry snapshot renderer below does that, and hand-written views
-/// (SocketServer stats, EngineTotals) follow the same discipline.
+/// registry snapshot renderer below does that.
 class PromWriter {
  public:
   void help(std::string_view name, std::string_view text) {

@@ -1,5 +1,7 @@
 #include "sync/engine.hpp"
 
+#include "obs/prom.hpp"
+
 namespace ribltx::sync::v2 {
 
 namespace {
@@ -199,6 +201,29 @@ std::vector<std::byte> make_error_frame(std::uint64_t session_id,
   return encode_frame(frame);
 }
 
+AdminAnswer answer_admin(std::uint64_t session_id,
+                         std::span<const std::byte> raw,
+                         obs::MetricsRegistry* metrics, obs::Tracer* tracer) {
+  std::string verb;
+  try {
+    verb = error_text(parse_frame(raw));  // payload bytes as text
+  } catch (const ProtocolError&) {
+    return {false, {make_error_frame(session_id, "malformed ADMIN")}};
+  }
+  std::string body;
+  if ((verb == "METRICS" || verb == "METRICS_JSON") && metrics != nullptr) {
+    const obs::MetricsSnapshot snap = metrics->snapshot();
+    body = verb == "METRICS" ? obs::prometheus_text(snap)
+                             : obs::json_text(snap);
+  } else if (verb == "TRACE" && tracer != nullptr) {
+    body = tracer->chrome_json();
+  } else {
+    return {false, {make_error_frame(session_id,
+                                     "unsupported ADMIN verb: " + verb)}};
+  }
+  return {true, make_admin_reply(session_id, body)};
+}
+
 std::string error_text(const Frame& frame) {
   std::string out;
   out.reserve(frame.payload.size());
@@ -209,3 +234,68 @@ std::string error_text(const Frame& frame) {
 }
 
 }  // namespace ribltx::sync::v2
+
+namespace ribltx::sync {
+
+EngineCells::EngineCells(obs::MetricsRegistry& m) {
+  for (std::uint8_t wire = 1; wire <= per_backend.size(); ++wire) {
+    const obs::Labels labels{
+        {"backend", backend_name(static_cast<BackendId>(wire))}};
+    per_backend[wire - 1] = Backend{
+        &m.counter("riblt_sessions_opened_total", "Sessions accepted at HELLO",
+                   labels),
+        &m.counter("riblt_sessions_done_total",
+                   "Sessions completed by a client DONE", labels),
+        &m.counter("riblt_sessions_failed_total",
+                   "Sessions ended by contained failure, abort, reap, "
+                   "eviction, or close while active",
+                   labels),
+        &m.histogram("riblt_session_bytes_to_peer",
+                     "SYMBOLS bytes emitted per finished session", labels),
+        &m.histogram("riblt_session_rounds",
+                     "Round escalations per finished session", labels),
+        &m.histogram("riblt_serve_cpu_us",
+                     "Serving-side encode/round CPU per call (microseconds; "
+                     "emit() calls sampled 1-in-8)",
+                     labels)};
+  }
+  bytes_from_peers = &m.counter("riblt_engine_bytes_from_peers_total",
+                                "HELLO/ROUND/DONE/ERROR frame bytes received");
+  frames_sent = &m.counter("riblt_engine_frames_sent_total",
+                           "SYMBOLS frames emitted");
+  items_added =
+      &m.counter("riblt_engine_items_added_total", "Successful add_item calls");
+  items_removed = &m.counter("riblt_engine_items_removed_total",
+                             "Successful remove_item calls");
+  reaped = &m.counter("riblt_sessions_reaped_total", "Idle sessions reclaimed");
+  evicted = &m.counter("riblt_sessions_evicted_total",
+                       "Oldest-idle sessions shed at the cap");
+  journal_depth = &m.gauge("riblt_cache_journal_depth",
+                           "Churn ops retained for open snapshots");
+}
+
+EngineTotals EngineCells::totals() const {
+  EngineTotals t;
+  for (const Backend& b : per_backend) {
+    // Outcomes before openings: a session's opened increment precedes
+    // its outcome's, so this order keeps `active` from running negative.
+    t.done += b.done->load();
+    t.failed += b.failed->load();
+    t.bytes_to_peers += b.bytes_to_peer->sum();
+    t.rounds += b.rounds->sum();
+  }
+  for (const Backend& b : per_backend) t.sessions += b.opened->load();
+  const std::size_t ended = t.done + t.failed;
+  t.active = t.sessions > ended ? t.sessions - ended : 0;
+  t.bytes_from_peers = bytes_from_peers->load();
+  t.frames_sent = frames_sent->load();
+  t.items_added = items_added->load();
+  t.items_removed = items_removed->load();
+  t.journal_depth = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, journal_depth->load()));
+  t.sessions_reaped = reaped->load();
+  t.sessions_evicted = evicted->load();
+  return t;
+}
+
+}  // namespace ribltx::sync

@@ -75,7 +75,6 @@
 #include "core/sketch.hpp"
 #include "core/symbol.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "sync/adaptive.hpp"
 #include "sync/error.hpp"
@@ -233,35 +232,12 @@ struct AdminAnswer {
 
 /// The one ADMIN verb dispatcher (both socket servers and the Replica
 /// answer through it). "METRICS" (Prometheus text) and "METRICS_JSON"
-/// render `metrics`' snapshot after `compose(snapshot)` appends the
-/// caller's own families; "TRACE" renders `tracer` as chrome://tracing
-/// JSON. A null tap answers its verbs with an ERROR.
-template <typename Compose>
+/// render a snapshot of `metrics`; "TRACE" renders `tracer` as
+/// chrome://tracing JSON. A null tap answers its verbs with an ERROR.
 [[nodiscard]] AdminAnswer answer_admin(std::uint64_t session_id,
                                        std::span<const std::byte> raw,
                                        obs::MetricsRegistry* metrics,
-                                       obs::Tracer* tracer,
-                                       Compose&& compose) {
-  std::string verb;
-  try {
-    verb = error_text(parse_frame(raw));  // payload bytes as text
-  } catch (const ProtocolError&) {
-    return {false, {make_error_frame(session_id, "malformed ADMIN")}};
-  }
-  std::string body;
-  if ((verb == "METRICS" || verb == "METRICS_JSON") && metrics != nullptr) {
-    obs::MetricsSnapshot snap = metrics->snapshot();
-    compose(snap);
-    body = verb == "METRICS" ? obs::prometheus_text(snap)
-                             : obs::json_text(snap);
-  } else if (verb == "TRACE" && tracer != nullptr) {
-    body = tracer->chrome_json();
-  } else {
-    return {false, {make_error_frame(session_id,
-                                     "unsupported ADMIN verb: " + verb)}};
-  }
-  return {true, make_admin_reply(session_id, body)};
-}
+                                       obs::Tracer* tracer);
 
 }  // namespace v2
 
@@ -312,26 +288,23 @@ struct EngineOptions {
   /// scale. Defaults to the steady clock; netsim harnesses bind their
   /// EventLoop's now() so simulated idleness reaps in simulated time.
   std::function<double()> clock{};
-  /// Observability taps (both optional; must outlive the engine). With
-  /// `metrics` set the engine registers its lifecycle counters,
-  /// per-backend session histograms, and the SequenceCache gate-wait /
-  /// compaction timings in the registry; with `tracer` set every
-  /// session lifecycle step (HELLO -> grant -> rounds -> DONE / ERROR /
-  /// reap) lands in the trace rings. A ShardedEngine propagates one
-  /// registry to all shards; the registry dedupes on (name, labels), so
-  /// shards share process-wide cells and the roll-up is additive. Null
-  /// pointers cost one predictable branch per instrumentation site --
-  /// the measured "instrumentation off" baseline of
-  /// bench_extra_serving_throughput's overhead gate.
+  /// Observability taps (both optional; must outlive the engine). The
+  /// engine's accounting -- the EngineCells behind totals(): lifecycle
+  /// counters, per-backend session histograms, and the SequenceCache
+  /// gate-wait / compaction timings -- lives in `metrics`, or in a
+  /// private registry when it is null. A ShardedEngine hands one registry
+  /// to all shards, which therefore share one set of cells. With `tracer`
+  /// set every session lifecycle step (HELLO -> grant -> rounds -> DONE /
+  /// ERROR / reap) lands in the trace rings.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 
-/// Whole-engine roll-up of the per-session accounting (the per-shard and
-/// cross-shard stats a ShardedEngine reports). Lifetime totals: closed
-/// sessions fold into the engine's retired accumulator, so `sessions` /
-/// `done` / `failed` count every session ever opened while `active` counts
-/// only sessions currently live in the table.
+/// Whole-engine accounting, read back from the engine's cells. Lifetime
+/// totals: a session counts in `sessions` from its HELLO and in `done` or
+/// `failed` -- with its byte, frame, and round sums -- from the moment it
+/// turns terminal, whether or not it has been closed since; `active` is
+/// the rest (sessions - done - failed).
 struct EngineTotals {
   std::size_t sessions = 0;
   std::size_t active = 0;
@@ -343,89 +316,45 @@ struct EngineTotals {
   std::uint64_t frames_sent = 0;
   std::uint64_t items_added = 0;    ///< lifetime successful add_item calls
   std::uint64_t items_removed = 0;  ///< lifetime successful remove_item calls
-  std::uint64_t journal_depth = 0;  ///< churn ops retained for snapshots now
+  std::uint64_t journal_depth = 0;  ///< churn ops retained, as of last prune
   std::uint64_t sessions_reaped = 0;   ///< idle sessions reclaimed
   std::uint64_t sessions_evicted = 0;  ///< oldest-idle shed at the cap
-
-  EngineTotals& operator+=(const EngineTotals& o) noexcept {
-    sessions += o.sessions;
-    active += o.active;
-    done += o.done;
-    failed += o.failed;
-    bytes_to_peers += o.bytes_to_peers;
-    bytes_from_peers += o.bytes_from_peers;
-    rounds += o.rounds;
-    frames_sent += o.frames_sent;
-    items_added += o.items_added;
-    items_removed += o.items_removed;
-    journal_depth += o.journal_depth;
-    sessions_reaped += o.sessions_reaped;
-    sessions_evicted += o.sessions_evicted;
-    return *this;
-  }
 };
 
-/// Appends an EngineTotals roll-up to a metrics snapshot as synthetic
-/// counter/gauge families -- the thin-view path the servers' METRICS
-/// admin verb composes before rendering. Snapshot consistency: a totals
-/// struct built under the serving lock (SyncEngine::totals via the
-/// shard mutex) is internally consistent for the session-lifecycle
-/// fields; items_added/items_removed/journal_depth are concurrent
-/// relaxed counters and may run a few events ahead of the session
-/// fields (see the model in obs/metrics.hpp).
-inline void append_engine_totals(obs::MetricsSnapshot& s,
-                                 const EngineTotals& t,
-                                 obs::Labels labels = {}) {
-  s.add_counter("riblt_engine_sessions_total",
-                "Sessions ever opened (live + retired)", t.sessions, labels);
-  s.add_gauge("riblt_engine_sessions_active",
-              "Sessions currently reconciling",
-              static_cast<std::int64_t>(t.active), labels);
-  s.add_counter("riblt_engine_sessions_done_total",
-                "Sessions completed by a client DONE", t.done, labels);
-  s.add_counter("riblt_engine_sessions_failed_total",
-                "Sessions ended by contained failure", t.failed, labels);
-  s.add_counter("riblt_engine_bytes_to_peers_total",
-                "SYMBOLS frame bytes emitted", t.bytes_to_peers, labels);
-  s.add_counter("riblt_engine_bytes_from_peers_total",
-                "HELLO/ROUND/DONE frame bytes received", t.bytes_from_peers,
-                labels);
-  s.add_counter("riblt_engine_rounds_total", "Round requests honored",
-                t.rounds, labels);
-  s.add_counter("riblt_engine_frames_sent_total", "SYMBOLS frames emitted",
-                t.frames_sent, labels);
-  s.add_counter("riblt_engine_items_added_total",
-                "Successful add_item calls", t.items_added, labels);
-  s.add_counter("riblt_engine_items_removed_total",
-                "Successful remove_item calls", t.items_removed, labels);
-  s.add_gauge("riblt_engine_journal_depth",
-              "Churn ops retained for open snapshots",
-              static_cast<std::int64_t>(t.journal_depth), labels);
-  s.add_counter("riblt_engine_sessions_reaped_total",
-                "Idle sessions reclaimed", t.sessions_reaped, labels);
-  s.add_counter("riblt_engine_sessions_evicted_total",
-                "Oldest-idle sessions shed at the cap", t.sessions_evicted,
-                labels);
-}
+/// The engine's registry cells: the one store of its accounting. Every
+/// engine bound to one registry shares one set (registration dedupes on
+/// name and labels), so totals() covers all of them -- a ShardedEngine's
+/// K shards by design.
+struct EngineCells {
+  /// Per-backend cells, labeled {backend=<name>}.
+  struct Backend {
+    obs::Counter* opened = nullptr;
+    obs::Counter* done = nullptr;
+    obs::Counter* failed = nullptr;
+    obs::Histogram* bytes_to_peer = nullptr;
+    obs::Histogram* rounds = nullptr;
+    obs::Histogram* cpu_us = nullptr;  ///< per-call encode/round CPU
+  };
 
-/// Relaxed event counter that stays movable (std::atomic is not): moving
-/// an engine is only legal while nothing else touches it -- the same
-/// contract as every other member -- so a plain value copy is exact.
-struct MovableCounter {
-  MovableCounter() = default;
-  MovableCounter(MovableCounter&& o) noexcept
-      : n(o.n.load(std::memory_order_relaxed)) {}
-  MovableCounter& operator=(MovableCounter&& o) noexcept {
-    n.store(o.n.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
+  explicit EngineCells(obs::MetricsRegistry& m);
+
+  [[nodiscard]] const Backend& backend(BackendId b) const noexcept {
+    return per_backend[static_cast<std::size_t>(b) - 1];
   }
-  void fetch_add(std::uint64_t d, std::memory_order mo) noexcept {
-    n.fetch_add(d, mo);
-  }
-  [[nodiscard]] std::uint64_t load(std::memory_order mo) const noexcept {
-    return n.load(mo);
-  }
-  std::atomic<std::uint64_t> n{0};
+
+  /// Relaxed loads of every cell (the obs/metrics.hpp snapshot model):
+  /// each field is torn-free and monotone, but fields bumped by one event
+  /// can be a few events apart while writers run, so `active` clamps at 0.
+  [[nodiscard]] EngineTotals totals() const;
+
+  std::array<Backend, 4> per_backend{};  ///< by wire id - 1
+  obs::Counter* bytes_from_peers = nullptr;
+  obs::Counter* frames_sent = nullptr;
+  obs::Counter* items_added = nullptr;
+  obs::Counter* items_removed = nullptr;
+  obs::Counter* reaped = nullptr;
+  obs::Counter* evicted = nullptr;
+  obs::Gauge* journal_depth = nullptr;  ///< moved by deltas: shards share it
 };
 
 /// Hash-keyed membership index for the served set, striped so concurrent
@@ -552,9 +481,10 @@ class StripedItemIndex {
 /// is lock-free (see SequenceCache), and the probe digest is replicated
 /// across kProbeLanes per-thread lanes merged only at HELLO time. The
 /// SESSION surface -- handle_frame, next_frame, close_session, session
-/// queries, totals -- is NOT internally synchronized; callers serialize it
+/// queries -- is NOT internally synchronized; callers serialize it
 /// (ShardedEngine holds its per-shard mutex around it) while ingest runs
-/// concurrently underneath.
+/// concurrently underneath. totals() reads registry cells and is safe
+/// from any thread.
 template <Symbol T, typename Hasher = SipHasher<T>>
 class SyncEngine {
  public:
@@ -564,6 +494,7 @@ class SyncEngine {
   explicit SyncEngine(Hasher hasher = Hasher{}, EngineOptions options = {})
       : hasher_(std::move(hasher)),
         options_(std::move(options)),
+        cells_(obs::registry_or_own(options_.metrics, own_metrics_)),
         cache_(std::make_shared<SequenceCache<T, Hasher>>(hasher_)),
         peer_ewma_(options_.adaptive.ewma_alpha,
                    options_.adaptive.max_peers) {
@@ -572,7 +503,15 @@ class SyncEngine {
       probe_lanes_.push_back(std::make_unique<ProbeLane>(
           adaptive::make_probe<T, Hasher>(hasher_)));
     }
-    if (options_.metrics != nullptr) bind_metrics(*options_.metrics);
+    obs::MetricsRegistry& m =
+        options_.metrics != nullptr ? *options_.metrics : *own_metrics_;
+    cache_->bind_metrics(
+        &m.histogram("riblt_cache_gate_wait_us",
+                     "ExclusiveGate acquire+drain wait (microseconds)"),
+        &m.histogram("riblt_cache_compact_us",
+                     "Coding-window compaction duration (microseconds)"),
+        &m.counter("riblt_cache_compactions_total",
+                   "Coding-window compactions run"));
   }
 
   /// Adds an item to the served set. Returns false (and leaves every
@@ -594,7 +533,7 @@ class SyncEngine {
       const std::lock_guard<std::mutex> lk(lane.mu);
       lane.probe.add_hashed(hs);  // keep the live probe digest current
     }
-    items_added_.fetch_add(1, std::memory_order_relaxed);
+    cells_.items_added->inc();
     return true;
   }
 
@@ -614,7 +553,7 @@ class SyncEngine {
       const std::lock_guard<std::mutex> lk(lane.mu);
       lane.probe.remove_hashed(hs);  // subtractive cells back out cleanly
     }
-    items_removed_.fetch_add(1, std::memory_order_relaxed);
+    cells_.items_removed->inc();
     return true;
   }
 
@@ -730,7 +669,7 @@ class SyncEngine {
         const double opened_at = now_s();
         session.last_activity = opened_at;
         sessions_.emplace(frame.session_id, std::move(session));
-        if (auto* c = cells(backend).opened; c != nullptr) c->inc();
+        cells_.backend(backend).opened->inc();
         trace(obs::TraceKind::kOpen, frame.session_id, backend, d_est,
               pace_cap, opened_at);
         v2::Frame ack;
@@ -747,8 +686,7 @@ class SyncEngine {
         return out;
       }
       case v2::FrameType::kRound: {
-        Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        Session& session = established(frame.session_id, data.size());
         // Any inbound frame proves the peer is still consuming: reopen the
         // pacing runway from the current emission position.
         session.pace_mark = session.stats.bytes_to_peer;
@@ -771,10 +709,10 @@ class SyncEngine {
           return out;
         }
         try {
-          obs::Histogram* const cpu = cells(session.stats.backend).cpu_us;
-          const std::uint64_t t0 = cpu != nullptr ? steady_us() : 0;
+          const std::uint64_t t0 = steady_us();
           session.encoder->handle_round_request(frame.payload);
-          if (cpu != nullptr) cpu->record(steady_us() - t0);
+          cells_.backend(session.stats.backend)
+              .cpu_us->record(steady_us() - t0);
           ++session.stats.rounds;
           trace(obs::TraceKind::kRound, frame.session_id,
                 session.stats.backend, session.stats.rounds);
@@ -784,12 +722,11 @@ class SyncEngine {
         return out;
       }
       case v2::FrameType::kDone: {
-        Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        Session& session = established(frame.session_id, data.size());
         session.pace_mark = session.stats.bytes_to_peer;
         if (session.stats.state == SessionState::kActive) {
-          session.stats.state = SessionState::kDone;
           session.stats.done_value = frame.value;
+          settle(session, SessionState::kDone);
           trace(obs::TraceKind::kDone, frame.session_id,
                 session.stats.backend, session.stats.bytes_to_peer,
                 session.stats.bytes_from_peer);
@@ -804,11 +741,10 @@ class SyncEngine {
       case v2::FrameType::kError: {
         // The client aborted its side (e.g. its decoder hit a data-path
         // dead end); contain it to this session.
-        Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        Session& session = established(frame.session_id, data.size());
         if (session.stats.state == SessionState::kActive) {
-          session.stats.state = SessionState::kFailed;
           session.stats.error = "peer abort: " + v2::error_text(frame);
+          settle(session, SessionState::kFailed);
           trace(obs::TraceKind::kError, frame.session_id,
                 session.stats.backend, session.stats.bytes_to_peer,
                 session.stats.bytes_from_peer);
@@ -869,8 +805,9 @@ class SyncEngine {
       // 1/8 uniform sample are unbiased; the histogram's _count reflects
       // samples, not frames (frames_sent has the exact frame count).
       obs::Histogram* const cpu =
-          (obs_cpu_sample_++ & 7) == 0 ? cells(session.stats.backend).cpu_us
-                                       : nullptr;
+          (obs_cpu_sample_++ & 7) == 0
+              ? cells_.backend(session.stats.backend).cpu_us
+              : nullptr;
       const std::uint64_t t0 = cpu != nullptr ? steady_us() : 0;
       const std::size_t emitted = session.encoder->emit(payload, budget);
       if (cpu != nullptr) cpu->record(steady_us() - t0);
@@ -907,36 +844,10 @@ class SyncEngine {
     return n;
   }
 
-  /// Sums the per-session accounting (the ShardedEngine stats roll-up).
-  /// Lifetime view: starts from the retired accumulator (every session ever
-  /// closed, reaped, or evicted) and adds the live table on top.
-  ///
-  /// Consistency: this walks sessions_, so it belongs to the SESSION
-  /// surface -- callers serialize it (the shard mutex), and the
-  /// session-lifecycle fields of the result are exact as of that lock.
-  /// items_added/items_removed/journal_depth load concurrent relaxed
-  /// counters: each is individually torn-free and monotone, but they
-  /// can run ahead of the locked fields by whatever ingest completed
-  /// mid-call (the obs/metrics.hpp snapshot model).
-  [[nodiscard]] EngineTotals totals() const {
-    EngineTotals t = retired_;
-    for (const auto& [id, s] : sessions_) {
-      ++t.sessions;
-      switch (s.stats.state) {
-        case SessionState::kActive: ++t.active; break;
-        case SessionState::kDone: ++t.done; break;
-        case SessionState::kFailed: ++t.failed; break;
-      }
-      t.bytes_to_peers += s.stats.bytes_to_peer;
-      t.bytes_from_peers += s.stats.bytes_from_peer;
-      t.rounds += s.stats.rounds;
-      t.frames_sent += s.stats.frames_sent;
-    }
-    t.items_added = items_added_.load(std::memory_order_relaxed);
-    t.items_removed = items_removed_.load(std::memory_order_relaxed);
-    t.journal_depth = cache_->journal_size();
-    return t;
-  }
+  /// The engine's accounting, read back from its cells (EngineTotals).
+  /// Lock-free and safe from any thread; with a registry shared by
+  /// several engines it covers all of them (see EngineCells).
+  [[nodiscard]] EngineTotals totals() const { return cells_.totals(); }
 
   [[nodiscard]] std::vector<std::uint64_t> session_ids() const {
     std::vector<std::uint64_t> out;
@@ -946,9 +857,8 @@ class SyncEngine {
   }
 
   /// Drops a session's state (a long-lived server would do this on
-  /// disconnect), folding its accounting into the retired totals -- a
-  /// session closed while still kActive was aborted and folds as failed.
-  /// Returns false if the id is unknown.
+  /// disconnect) -- a session closed while still kActive was aborted and
+  /// counts as failed. Returns false if the id is unknown.
   bool close_session(std::uint64_t id) {
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return false;
@@ -977,12 +887,11 @@ class SyncEngine {
       Session& s = it->second;
       if (s.stats.state == SessionState::kActive &&
           now - s.last_activity > deadline_s) {
-        s.stats.state = SessionState::kFailed;
         s.stats.error = "idle session reaped";
+        settle(s, SessionState::kFailed);
         reaped.emplace_back(it->first,
                             v2::make_error_frame(it->first, s.stats.error));
-        ++retired_.sessions_reaped;
-        if (obs_reaped_ != nullptr) obs_reaped_->inc();
+        cells_.reaped->inc();
         trace(obs::TraceKind::kReap, it->first, s.stats.backend,
               s.stats.bytes_to_peer);
         retire(it++);
@@ -996,14 +905,6 @@ class SyncEngine {
 
   [[nodiscard]] std::size_t item_count() const noexcept {
     return index_.size();
-  }
-
-  /// Lifetime ingest counters (successful adds/removes; thread-safe).
-  [[nodiscard]] std::uint64_t items_added() const noexcept {
-    return items_added_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t items_removed() const noexcept {
-    return items_removed_.load(std::memory_order_relaxed);
   }
 
   /// Cells of the shared rateless stream materialized so far (diagnostics).
@@ -1082,15 +983,23 @@ class SyncEngine {
     return merged;
   }
 
-  Session& established(std::uint64_t id) {
+  /// The session an inbound frame of `frame_bytes` belongs to. Its bytes
+  /// join the session's sum, or -- once the session has settled -- go
+  /// straight to the cell, so stale frames still count exactly once.
+  Session& established(std::uint64_t id, std::size_t frame_bytes) {
     auto it = sessions_.find(id);
     if (it == sessions_.end()) {
       throw ProtocolError("unknown session id");
     }
+    Session& session = it->second;
+    session.stats.bytes_from_peer += frame_bytes;
+    if (session.stats.state != SessionState::kActive) {
+      cells_.bytes_from_peers->inc(frame_bytes);
+    }
     // Every attributed inbound frame is proof of life (emission does not
     // count: a server streaming into a void is exactly what reaping ends).
-    it->second.last_activity = now_s();
-    return it->second;
+    session.last_activity = now_s();
+    return session;
   }
 
   /// Drops journal entries no active rateless session can still need. The
@@ -1102,7 +1011,7 @@ class SyncEngine {
   void prune_cache_journal(bool force = false) {
     if (cache_->journal_size() == 0) {
       journal_size_at_prune_ = 0;
-      if (obs_journal_ != nullptr) obs_journal_->set(0);
+      report_journal_depth();
       return;
     }
     if (!force && cache_->journal_size() < journal_size_at_prune_ + 64) {
@@ -1116,17 +1025,24 @@ class SyncEngine {
     }
     cache_->prune_journal(min_pos);
     journal_size_at_prune_ = cache_->journal_size();
-    if (obs_journal_ != nullptr) {
-      obs_journal_->set(static_cast<std::int64_t>(journal_size_at_prune_));
-    }
+    report_journal_depth();
+  }
+
+  /// Moves the (possibly shared) journal gauge by this engine's change
+  /// since its last report.
+  void report_journal_depth() {
+    const auto depth = static_cast<std::int64_t>(journal_size_at_prune_);
+    if (depth == journal_reported_) return;
+    cells_.journal_depth->add(depth - journal_reported_);
+    journal_reported_ = depth;
   }
 
   /// Marks the session failed and builds the ERROR frame -- the containment
   /// boundary: only this session is affected.
   [[nodiscard]] std::vector<std::byte> fail(std::uint64_t id, Session& session,
                                             const std::string& reason) {
-    session.stats.state = SessionState::kFailed;
     session.stats.error = reason;
+    settle(session, SessionState::kFailed);
     trace(obs::TraceKind::kError, id, session.stats.backend,
           session.stats.bytes_to_peer, session.stats.bytes_from_peer);
     return v2::make_error_frame(id, reason);
@@ -1139,30 +1055,28 @@ class SyncEngine {
         .count();
   }
 
-  /// Folds a session's accounting into the retired totals and erases it.
-  /// A session still kActive here was aborted: it counts as failed.
+  /// The one accounting step: a session turning terminal books its
+  /// outcome and its byte, frame, and round sums into the cells, once.
+  void settle(Session& session, SessionState outcome) {
+    SessionStats& s = session.stats;
+    s.state = outcome;
+    const EngineCells::Backend& c = cells_.backend(s.backend);
+    (outcome == SessionState::kDone ? c.done : c.failed)->inc();
+    c.bytes_to_peer->record(s.bytes_to_peer);
+    c.rounds->record(s.rounds);
+    cells_.bytes_from_peers->inc(s.bytes_from_peer);
+    cells_.frames_sent->inc(s.frames_sent);
+  }
+
+  /// Erases a session; one still kActive here was aborted and settles as
+  /// failed first.
   void retire(typename std::map<std::uint64_t, Session>::iterator it) {
-    const SessionStats& s = it->second.stats;
-    ++retired_.sessions;
-    if (s.state == SessionState::kDone) {
-      ++retired_.done;
-    } else {
-      ++retired_.failed;
+    Session& session = it->second;
+    if (session.stats.state == SessionState::kActive) {
+      settle(session, SessionState::kFailed);
     }
-    retired_.bytes_to_peers += s.bytes_to_peer;
-    retired_.bytes_from_peers += s.bytes_from_peer;
-    retired_.rounds += s.rounds;
-    retired_.frames_sent += s.frames_sent;
-    const BackendCells& c = cells(s.backend);
-    if (s.state == SessionState::kDone) {
-      if (c.done != nullptr) c.done->inc();
-    } else if (c.failed != nullptr) {
-      c.failed->inc();
-    }
-    if (c.bytes_to_peer != nullptr) c.bytes_to_peer->record(s.bytes_to_peer);
-    if (c.rounds != nullptr) c.rounds->record(s.rounds);
-    trace(obs::TraceKind::kClose, it->first, s.backend, s.bytes_to_peer,
-          s.rounds);
+    trace(obs::TraceKind::kClose, it->first, session.stats.backend,
+          session.stats.bytes_to_peer, session.stats.rounds);
     sessions_.erase(it);
   }
 
@@ -1187,12 +1101,11 @@ class SyncEngine {
       }
     }
     if (victim == sessions_.end()) return false;
-    victim->second.stats.state = SessionState::kFailed;
     victim->second.stats.error = "evicted at session cap";
+    settle(victim->second, SessionState::kFailed);
     out.push_back(
         v2::make_error_frame(victim->first, victim->second.stats.error));
-    ++retired_.sessions_evicted;
-    if (obs_evicted_ != nullptr) obs_evicted_->inc();
+    cells_.evicted->inc();
     trace(obs::TraceKind::kEvict, victim->first,
           victim->second.stats.backend, victim->second.stats.bytes_to_peer);
     retire(victim);
@@ -1201,65 +1114,6 @@ class SyncEngine {
   }
 
   // ------------------------------------------------------ observability
-
-  /// Pre-resolved registry handles per backend wire id (1..4; slot 0
-  /// unused). Resolved once at construction so the hot paths never
-  /// touch the registry -- a null handle is the "instrumentation off"
-  /// branch.
-  struct BackendCells {
-    obs::Counter* opened = nullptr;
-    obs::Counter* done = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Histogram* bytes_to_peer = nullptr;
-    obs::Histogram* rounds = nullptr;
-    obs::Histogram* cpu_us = nullptr;  ///< per-call encode/round CPU
-  };
-
-  [[nodiscard]] const BackendCells& cells(BackendId b) const noexcept {
-    const auto i = static_cast<std::size_t>(b);
-    return obs_cells_[i < obs_cells_.size() ? i : 0];
-  }
-
-  void bind_metrics(obs::MetricsRegistry& m) {
-    for (std::uint8_t wire = 1; wire <= 4; ++wire) {
-      const auto id = static_cast<BackendId>(wire);
-      const obs::Labels labels{{"backend", backend_name(id)}};
-      BackendCells& c = obs_cells_[wire];
-      c.opened = &m.counter("riblt_sessions_opened_total",
-                            "Sessions accepted at HELLO", labels);
-      c.done = &m.counter("riblt_sessions_done_total",
-                          "Sessions retired after a client DONE", labels);
-      c.failed = &m.counter("riblt_sessions_failed_total",
-                            "Sessions retired failed/aborted", labels);
-      c.bytes_to_peer =
-          &m.histogram("riblt_session_bytes_to_peer",
-                       "SYMBOLS bytes emitted per retired session", labels);
-      c.rounds = &m.histogram("riblt_session_rounds",
-                              "Round escalations per retired session",
-                              labels);
-      c.cpu_us = &m.histogram(
-          "riblt_serve_cpu_us",
-          "Serving-side encode/round CPU per call (microseconds; emit() "
-          "calls sampled 1-in-8)",
-          labels);
-    }
-    obs_reaped_ =
-        &m.counter("riblt_sessions_reaped_total", "Idle sessions reclaimed");
-    obs_evicted_ = &m.counter("riblt_sessions_evicted_total",
-                              "Oldest-idle sessions shed at the cap");
-    // No live-session gauge here: scrape-time composition already exports
-    // riblt_engine_sessions_active from EngineTotals, so the hot open path
-    // stays at one counter increment.
-    obs_journal_ = &m.gauge("riblt_cache_journal_depth",
-                            "Churn ops retained for open snapshots");
-    cache_->bind_metrics(
-        &m.histogram("riblt_cache_gate_wait_us",
-                     "ExclusiveGate acquire+drain wait (microseconds)"),
-        &m.histogram("riblt_cache_compact_us",
-                     "Coding-window compaction duration (microseconds)"),
-        &m.counter("riblt_cache_compactions_total",
-                   "Coding-window compactions run"));
-  }
 
   /// `ts_hint` lets call sites that already computed now_s() skip a
   /// second clock read (the HELLO hot path cares); NaN = read the clock.
@@ -1277,8 +1131,7 @@ class SyncEngine {
     options_.tracer->record(ev);
   }
 
-  /// Steady-clock microseconds (CPU-ish timing for serve histograms;
-  /// only read when the corresponding handle is bound).
+  /// Steady-clock microseconds (CPU-ish timing for serve histograms).
   [[nodiscard]] static std::uint64_t steady_us() noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -1305,21 +1158,18 @@ class SyncEngine {
 
   Hasher hasher_;
   EngineOptions options_;
+  /// Private registry when options_.metrics is null; declared before
+  /// every member holding its cells so it outlives them.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  EngineCells cells_;  ///< the engine's accounting (see totals())
   StripedItemIndex<T> index_;  ///< served-set membership (hash + symbol)
   std::shared_ptr<SequenceCache<T, Hasher>> cache_;  ///< the rateless stream
   std::size_t journal_size_at_prune_ = 0;  ///< rescan throttle
+  std::int64_t journal_reported_ = 0;  ///< depth last added to the gauge
   std::map<std::uint64_t, Session> sessions_;
-  EngineTotals retired_;  ///< fold of every closed/reaped/evicted session
   std::vector<std::unique_ptr<ProbeLane>> probe_lanes_;
-  MovableCounter items_added_;
-  MovableCounter items_removed_;
   adaptive::PeerEwma peer_ewma_;  ///< per-peer diff history (adaptive)
-  /// Registry handles (null = untapped); see bind_metrics().
-  std::array<BackendCells, 5> obs_cells_{};
   std::uint64_t obs_cpu_sample_ = 0;  ///< 1-in-8 serve-CPU sampling phase
-  obs::Counter* obs_reaped_ = nullptr;
-  obs::Counter* obs_evicted_ = nullptr;
-  obs::Gauge* obs_journal_ = nullptr;
 };
 
 /// Client side of one engine session: produces HELLO, absorbs SYMBOLS,

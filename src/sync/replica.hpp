@@ -42,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <functional>
@@ -55,7 +56,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "obs/prom.hpp"
+#include "obs/metrics.hpp"
 #include "sync/engine.hpp"
 
 namespace ribltx::sync {
@@ -87,6 +88,8 @@ struct ReplicaOptions {
   /// Engine tuning. idle_deadline_s drives the serving-side reap sweep;
   /// clock defaults to "the last now passed to deliver/tick", which keeps
   /// engine idleness on the caller's timescale (simulated or wall).
+  /// engine.metrics is the whole replica's registry: its own cells carry
+  /// {replica=id}, the engine's are shared by every engine bound to it.
   EngineOptions engine{};
   std::uint64_t seed = 0;  ///< jitter RNG stream
 };
@@ -101,6 +104,8 @@ struct ReplicaPeerStats {
   std::uint64_t converged = 0;
 };
 
+/// The scheduler's accounting, read back from the replica's cells (the
+/// serving side's is engine().totals()).
 struct ReplicaStats {
   std::uint64_t rounds_attempted = 0;
   std::uint64_t rounds_converged = 0;
@@ -111,51 +116,7 @@ struct ReplicaStats {
   std::uint64_t items_applied = 0;
   std::uint64_t restarts = 0;
   std::vector<ReplicaPeerStats> peers;
-  EngineTotals engine;  ///< serving-side roll-up (reaps/evictions included)
 };
-
-/// Appends the replica roll-up as synthetic snapshot families (the thin
-/// view over ReplicaStats), including per-peer health rows labeled by
-/// peer id -- staleness surfaces as riblt_replica_peer_last_success_s so
-/// a scraper computes "now - last_success" on its own clock.
-inline void append_replica_stats(obs::MetricsSnapshot& snap,
-                                 const ReplicaStats& s,
-                                 obs::Labels labels = {}) {
-  snap.add_counter("riblt_replica_rounds_attempted_total",
-                   "Outbound anti-entropy rounds opened", s.rounds_attempted,
-                   labels);
-  snap.add_counter("riblt_replica_rounds_converged_total",
-                   "Rounds that completed and applied their diff",
-                   s.rounds_converged, labels);
-  snap.add_counter("riblt_replica_rounds_aborted_total",
-                   "Failed + deadline-aborted + link-down rounds",
-                   s.rounds_aborted, labels);
-  snap.add_counter("riblt_replica_retries_total",
-                   "Rounds opened while a backoff was pending", s.retries,
-                   labels);
-  snap.add_counter("riblt_replica_items_applied_total",
-                   "Items learned through anti-entropy", s.items_applied,
-                   labels);
-  snap.add_counter("riblt_replica_restarts_total",
-                   "Crash/restart cycles", s.restarts, labels);
-  append_engine_totals(snap, s.engine, labels);
-  for (const ReplicaPeerStats& p : s.peers) {
-    obs::Labels l = labels;
-    l.emplace_back("peer", std::to_string(p.peer_id));
-    snap.add_gauge("riblt_replica_peer_backoff_ms",
-                   "Current retry delay toward this peer (0 = healthy)",
-                   static_cast<std::int64_t>(p.backoff_s * 1000.0), l);
-    snap.add_gauge("riblt_replica_peer_failures",
-                   "Consecutive failed rounds toward this peer",
-                   static_cast<std::int64_t>(p.failures), l);
-    snap.add_counter("riblt_replica_peer_converged_total",
-                     "Converged rounds with this peer", p.converged, l);
-    snap.add_gauge(
-        "riblt_replica_peer_last_success_s",
-        "Caller-clock time of the last converged round (-1 = never)",
-        static_cast<std::int64_t>(p.last_success), l);
-  }
-}
 
 template <Symbol T, typename Hasher = SipHasher<T>>
 class Replica {
@@ -179,29 +140,41 @@ class Replica {
     if (options_.replica_id == 0) {
       throw std::invalid_argument("Replica: replica id 0 is reserved");
     }
+    metrics_ = &obs::registry_or_own(options_.engine.metrics, own_metrics_);
+    obs::MetricsRegistry& m = *metrics_;
     EngineOptions eng = options_.engine;
+    eng.metrics = metrics_;
     if (!eng.clock) {
       // Engine activity stamps follow the caller's clock: the last now
       // seen by deliver/tick. Simulated time reaps in simulated time.
       eng.clock = [this] { return now_; };
     }
     engine_ = std::make_unique<SyncEngine<T, Hasher>>(hasher_, eng);
-    // The engine already registered its cells against the same registry;
-    // these are the scheduler-tier additions. The caller clock may be
-    // simulated, so the gap histogram is "caller microseconds".
-    if (options_.engine.metrics != nullptr) {
-      const obs::Labels l{
-          {"replica", std::to_string(options_.replica_id)}};
-      obs_round_gap_us_ = &options_.engine.metrics->histogram(
-          "riblt_replica_round_gap_us",
-          "Gap between successive converged rounds per peer "
-          "(caller-clock microseconds)",
-          l);
-      obs_backoff_ms_ = &options_.engine.metrics->histogram(
-          "riblt_replica_backoff_ms",
-          "Retry backoff scheduled after an aborted round (milliseconds)",
-          l);
-    }
+    // The scheduler tier's cells, next to the engine's. The caller clock
+    // may be simulated, so the gap histogram is "caller microseconds".
+    const obs::Labels l = labels();
+    rounds_attempted_ = &m.counter("riblt_replica_rounds_attempted_total",
+                                   "Outbound anti-entropy rounds opened", l);
+    rounds_converged_ =
+        &m.counter("riblt_replica_rounds_converged_total",
+                   "Rounds that completed and applied their diff", l);
+    rounds_aborted_ = &m.counter("riblt_replica_rounds_aborted_total",
+                                 "Failed + deadline-aborted + link-down rounds",
+                                 l);
+    retries_ = &m.counter("riblt_replica_retries_total",
+                          "Rounds opened while a backoff was pending", l);
+    items_applied_ = &m.counter("riblt_replica_items_applied_total",
+                                "Items learned through anti-entropy", l);
+    restarts_ = &m.counter("riblt_replica_restarts_total",
+                           "Crash/restart cycles", l);
+    round_gap_us_ = &m.histogram(
+        "riblt_replica_round_gap_us",
+        "Gap between successive converged rounds per peer "
+        "(caller-clock microseconds)",
+        l);
+    backoff_hist_ms_ = &m.histogram(
+        "riblt_replica_backoff_ms",
+        "Retry backoff scheduled after an aborted round (milliseconds)", l);
   }
 
   Replica(const Replica&) = delete;
@@ -239,6 +212,26 @@ class Replica {
     p.send = std::move(send);
     p.ready = std::move(ready);
     p.next_attempt = now_ + jittered(options_.sync_interval_s);
+    // Per-peer health rows, labeled {replica, peer}: staleness surfaces as
+    // the time of the last converged round so a scraper computes
+    // "now - last_success" on its own clock.
+    obs::MetricsRegistry& m = *metrics_;
+    obs::Labels l = labels();
+    l.emplace_back("peer", std::to_string(peer_id));
+    p.backoff_ms = &m.gauge("riblt_replica_peer_backoff_ms",
+                            "Current retry delay toward this peer (0 = "
+                            "healthy)",
+                            l);
+    p.failures = &m.gauge("riblt_replica_peer_failures",
+                          "Consecutive failed rounds toward this peer", l);
+    p.converged = &m.counter("riblt_replica_peer_converged_total",
+                             "Converged rounds with this peer", l);
+    p.last_success_ms = &m.gauge(
+        "riblt_replica_peer_last_success_ms",
+        "Caller-clock time of the last converged round in milliseconds "
+        "(-1 = never)",
+        l);
+    p.last_success_ms->set(to_ms(p.last_success));
   }
 
   /// Rebinds a peer's transport after its link was rebuilt (peer restart):
@@ -352,11 +345,12 @@ class Replica {
     }
     serving_.clear();
     ++epoch_;
-    ++restarts_;
+    restarts_->inc();
     for (auto& [id, peer] : peers_) {
       peer.client.reset();
       peer.backoff_s = 0;
-      peer.failures = 0;
+      peer.backoff_ms->set(0);
+      peer.failures->set(0);
       peer.next_attempt = now_ + jittered(options_.sync_interval_s);
     }
   }
@@ -369,23 +363,24 @@ class Replica {
   /// Observer for every item applied from a completed round.
   void on_item_applied(ApplyFn fn) { on_apply_ = std::move(fn); }
 
+  /// Typed read of the replica's cells; the per-peer times are the
+  /// scheduler's own state (the cells export them in milliseconds).
   [[nodiscard]] ReplicaStats stats() const {
     ReplicaStats out;
-    out.rounds_attempted = rounds_attempted_;
-    out.rounds_converged = rounds_converged_;
-    out.rounds_aborted = rounds_aborted_;
-    out.retries = retries_;
-    out.items_applied = items_applied_;
-    out.restarts = restarts_;
-    out.engine = engine_->totals();
+    out.rounds_attempted = rounds_attempted_->load();
+    out.rounds_converged = rounds_converged_->load();
+    out.rounds_aborted = rounds_aborted_->load();
+    out.retries = retries_->load();
+    out.items_applied = items_applied_->load();
+    out.restarts = restarts_->load();
     out.peers.reserve(peers_.size());
     for (const auto& [id, peer] : peers_) {
       ReplicaPeerStats row;
       row.peer_id = id;
       row.last_success = peer.last_success;
       row.backoff_s = peer.backoff_s;
-      row.failures = peer.failures;
-      row.converged = peer.converged;
+      row.failures = static_cast<std::uint64_t>(peer.failures->load());
+      row.converged = peer.converged->load();
       out.peers.push_back(row);
     }
     return out;
@@ -414,12 +409,24 @@ class Replica {
     double started_at = 0;    ///< client HELLO time (deadline base)
     double next_attempt = 0;  ///< earliest next round open
     double backoff_s = 0;     ///< current retry delay (0 = healthy)
-    std::uint64_t failures = 0;
-    std::uint64_t converged = 0;
     double last_success = -1;
+    /// Exported rows (see add_peer()).
+    obs::Gauge* backoff_ms = nullptr;
+    obs::Gauge* failures = nullptr;  ///< consecutive failed rounds
+    obs::Counter* converged = nullptr;
+    obs::Gauge* last_success_ms = nullptr;
   };
 
   void advance(double now) { now_ = now > now_ ? now : now_; }
+
+  [[nodiscard]] obs::Labels labels() const {
+    return {{"replica", std::to_string(options_.replica_id)}};
+  }
+
+  /// Caller-clock seconds as exported milliseconds (-1 stays -1).
+  [[nodiscard]] static std::int64_t to_ms(double s) {
+    return s < 0 ? -1 : static_cast<std::int64_t>(std::llround(s * 1000.0));
+  }
 
   [[nodiscard]] double jittered(double delay) {
     const double j = options_.jitter;
@@ -542,12 +549,7 @@ class Replica {
   void admin_frame(Peer& peer, std::uint64_t sid,
                    std::span<const std::byte> frame) {
     v2::AdminAnswer answer = v2::answer_admin(
-        sid, frame, options_.engine.metrics, options_.engine.tracer,
-        [this](obs::MetricsSnapshot& snap) {
-          append_replica_stats(
-              snap, stats(),
-              {{"replica", std::to_string(options_.replica_id)}});
-        });
+        sid, frame, options_.engine.metrics, options_.engine.tracer);
     for (auto& reply : answer.frames) {
       if (!send_to(peer, std::move(reply))) return;
     }
@@ -598,8 +600,8 @@ class Replica {
     engine_->for_each_item([&](const HashedSymbol<T>& hs) {
       client->add_hashed_item(hs);
     });
-    ++rounds_attempted_;
-    if (peer.backoff_s > 0) ++retries_;
+    rounds_attempted_->inc();
+    if (peer.backoff_s > 0) retries_->inc();
     peer.started_at = now_;
     peer.client = std::move(client);
     auto hello = peer.client->hello();
@@ -612,21 +614,22 @@ class Replica {
     if (peer.client->complete()) {
       for (const T& item : peer.client->diff().remote) {
         if (engine_->add_item(item)) {
-          ++items_applied_;
+          items_applied_->inc();
           if (on_apply_) on_apply_(item, now_);
         }
       }
       peer.client.reset();
-      peer.failures = 0;
+      peer.failures->set(0);
       peer.backoff_s = 0;
-      ++peer.converged;
-      if (obs_round_gap_us_ != nullptr && peer.last_success >= 0 &&
-          now_ > peer.last_success) {
-        obs_round_gap_us_->record(
+      peer.backoff_ms->set(0);
+      peer.converged->inc();
+      if (peer.last_success >= 0 && now_ > peer.last_success) {
+        round_gap_us_->record(
             static_cast<std::uint64_t>((now_ - peer.last_success) * 1e6));
       }
       peer.last_success = now_;
-      ++rounds_converged_;
+      peer.last_success_ms->set(to_ms(now_));
+      rounds_converged_->inc();
       peer.next_attempt = now_ + jittered(options_.sync_interval_s);
     } else if (peer.client->failed()) {
       abort_round(peer, peer.client->error(), /*notify_server=*/false);
@@ -640,16 +643,15 @@ class Replica {
     if (!peer.client) return;
     const std::uint64_t sid = peer.client->session_id();
     peer.client.reset();
-    ++rounds_aborted_;
-    ++peer.failures;
+    rounds_aborted_->inc();
+    peer.failures->add(1);
     peer.backoff_s = peer.backoff_s <= 0
                          ? options_.backoff_base_s
                          : std::min(2.0 * peer.backoff_s,
                                     options_.backoff_cap_s);
-    if (obs_backoff_ms_ != nullptr) {
-      obs_backoff_ms_->record(
-          static_cast<std::uint64_t>(peer.backoff_s * 1000.0));
-    }
+    peer.backoff_ms->set(to_ms(peer.backoff_s));
+    backoff_hist_ms_->record(
+        static_cast<std::uint64_t>(peer.backoff_s * 1000.0));
     peer.next_attempt = now_ + jittered(peer.backoff_s);
     if (notify_server) {
       (void)send_to(peer, v2::make_error_frame(sid, reason));
@@ -659,6 +661,10 @@ class Replica {
   ReplicaOptions options_;
   Hasher hasher_;
   SplitMix64 rng_;
+  /// Private registry when options_.engine.metrics is null; declared
+  /// before every member holding its cells so it outlives them.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;  ///< the caller's or own_metrics_
   std::unique_ptr<SyncEngine<T, Hasher>> engine_;
   std::map<std::uint64_t, Peer> peers_;       ///< deterministic iteration
   std::map<std::uint64_t, std::uint64_t> serving_;  ///< sid -> peer id
@@ -668,15 +674,16 @@ class Replica {
   std::uint64_t seq_ = 0;
   ApplyFn on_apply_;
 
-  std::uint64_t rounds_attempted_ = 0;
-  std::uint64_t rounds_converged_ = 0;
-  std::uint64_t rounds_aborted_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t items_applied_ = 0;
-  std::uint64_t restarts_ = 0;
-  /// Registry handles (null = untapped); bound in the constructor.
-  obs::Histogram* obs_round_gap_us_ = nullptr;
-  obs::Histogram* obs_backoff_ms_ = nullptr;
+  /// The scheduler's cells, labeled {replica=id}; bound in the
+  /// constructor.
+  obs::Counter* rounds_attempted_ = nullptr;
+  obs::Counter* rounds_converged_ = nullptr;
+  obs::Counter* rounds_aborted_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Counter* items_applied_ = nullptr;
+  obs::Counter* restarts_ = nullptr;
+  obs::Histogram* round_gap_us_ = nullptr;
+  obs::Histogram* backoff_hist_ms_ = nullptr;
 };
 
 }  // namespace ribltx::sync

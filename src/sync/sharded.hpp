@@ -29,7 +29,8 @@
 // entirely -- SyncEngine's ingest surface is internally synchronized
 // (striped index, lock-free cache churn, per-lane probes), so any number
 // of writer threads can churn a shard while its worker streams sessions;
-// only the session machinery (and stats()) takes the shard locks.
+// only the session machinery takes the shard locks. stats() takes none:
+// it reads the registry cells every shard records into.
 //
 // bench/extra_shard_scaling.cpp measures sessions/sec against shard count;
 // tests/test_sharded.cpp holds the parity and threaded-smoke coverage.
@@ -65,15 +66,11 @@ namespace ribltx::sync {
       ((hash >> 32) * static_cast<std::uint64_t>(shard_count)) >> 32);
 }
 
-/// Cross-shard stats roll-up (per shard plus totals).
+/// Whole-engine stats: the shards' shared accounting cells plus the live
+/// item count.
 struct ShardedStats {
-  struct PerShard {
-    std::size_t items = 0;
-    std::size_t protocol_errors = 0;
-    EngineTotals totals{};
-  };
-  std::vector<PerShard> shards;
   std::size_t items = 0;
+  /// Frames the shard workers rejected (riblt_shard_protocol_errors_total).
   std::size_t protocol_errors = 0;
   EngineTotals totals{};
 };
@@ -88,7 +85,8 @@ class ShardedEngine {
 
   explicit ShardedEngine(std::size_t shard_count, Hasher hasher = Hasher{},
                          EngineOptions options = EngineOptions{})
-      : hasher_(std::move(hasher)) {
+      : hasher_(std::move(hasher)),
+        cells_(obs::registry_or_own(options.metrics, own_metrics_)) {
     if (shard_count == 0 || shard_count > kMaxShards) {
       throw std::invalid_argument("ShardedEngine: shard count out of range");
     }
@@ -98,6 +96,13 @@ class ShardedEngine {
     if (options.idle_deadline_s > 0) {
       reap_wait_s_ = std::min(options.idle_deadline_s / 2, 0.2);
     }
+    // Every shard engine binds its cells in the same registry, so the
+    // shards share one set (cells_ is that set too) and stats() is one
+    // read of it. The router adds its own: inbox depth per worker wakeup
+    // and the frames the workers reject.
+    obs::MetricsRegistry& m =
+        options.metrics != nullptr ? *options.metrics : *own_metrics_;
+    options.metrics = &m;
     shards_.reserve(shard_count);
     for (std::size_t k = 0; k < shard_count; ++k) {
       EngineOptions shard_options = options;
@@ -105,16 +110,13 @@ class ShardedEngine {
       shard_options.shard_count = static_cast<std::uint32_t>(shard_count);
       shards_.push_back(std::make_unique<Shard>(hasher_, shard_options));
     }
-    // The per-shard engines each bind their cells against the same
-    // registry; dedup on (name, labels) makes those process-wide, so the
-    // roll-up stays additive across shards. The router adds one family of
-    // its own: inbox depth per worker wakeup (the queue the serving
-    // threads feed and the shard workers drain).
-    if (options.metrics != nullptr) {
-      obs_inbox_depth_ = &options.metrics->histogram(
-          "riblt_shard_inbox_depth",
-          "Frames drained per shard worker wakeup (non-empty drains)");
-    }
+    inbox_depth_ = &m.histogram(
+        "riblt_shard_inbox_depth",
+        "Frames drained per shard worker wakeup (non-empty drains)");
+    protocol_errors_ = &m.counter(
+        "riblt_shard_protocol_errors_total",
+        "Frames the shard workers rejected: engine-rejected HELLOs "
+        "(answered with an ERROR), stale frames, and failed sink calls");
   }
 
   ~ShardedEngine() { stop(); }
@@ -179,7 +181,9 @@ class ShardedEngine {
     } catch (...) {
       // A HELLO the shard engine rejected must not leave its freshly
       // recorded route behind.
-      if (is_hello(data)) drop_route(v2::peek_session_id(data));
+      if (is_type(data, v2::FrameType::kHello)) {
+        drop_route(v2::peek_session_id(data));
+      }
       throw;
     }
   }
@@ -258,36 +262,13 @@ class ShardedEngine {
     sh.cv.notify_one();
   }
 
-  /// Locks each shard in turn and aggregates items/sessions/bytes.
-  ///
-  /// Snapshot consistency: each PerShard row is exact at the instant its
-  /// shard lock was held (modulo the relaxed ingest counters documented
-  /// on SyncEngine::totals()), but the shards are sampled sequentially --
-  /// the cross-shard totals are a *smear*, not one instant. Every row is
-  /// internally consistent and monotone fields never run backwards
-  /// between successive calls; invariants that span shards (e.g.
-  /// sessions == done + failed + active summed across shards) can be
-  /// transiently off while workers retire sessions mid-walk. Same
-  /// bracketing contract as obs::MetricsRegistry::snapshot().
+  /// Typed read of the shards' shared cells (EngineCells::totals) plus
+  /// the live item count; takes no lock. Same snapshot model as
+  /// obs::MetricsRegistry::snapshot(): each field is torn-free and
+  /// monotone fields never run backwards, but fields bumped by one event
+  /// can be a few events apart while workers run.
   [[nodiscard]] ShardedStats stats() const {
-    ShardedStats out;
-    out.shards.reserve(shards_.size());
-    for (const auto& sh : shards_) {
-      ShardedStats::PerShard row;
-      {
-        const std::lock_guard<std::mutex> lk(sh->mu);
-        row.items = sh->engine.item_count();
-        row.protocol_errors = sh->protocol_errors;
-        // Lifetime view: engine totals already include every session the
-        // worker retired (close_session folds into the engine accumulator).
-        row.totals = sh->engine.totals();
-      }
-      out.items += row.items;
-      out.protocol_errors += row.protocol_errors;
-      out.totals += row.totals;
-      out.shards.push_back(row);
-    }
-    return out;
+    return {item_count(), protocol_errors_->load(), cells_.totals()};
   }
 
   static constexpr std::size_t kMaxShards = 4096;
@@ -301,15 +282,14 @@ class ShardedEngine {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<std::vector<std::byte>> inbox;
-    std::size_t protocol_errors = 0;
     bool stop = false;
     std::thread thread;
   };
 
-  [[nodiscard]] static bool is_hello(std::span<const std::byte> data) {
-    return !data.empty() &&
-           static_cast<std::uint8_t>(data[0]) ==
-               static_cast<std::uint8_t>(v2::FrameType::kHello);
+  [[nodiscard]] static bool is_type(std::span<const std::byte> data,
+                                     v2::FrameType type) {
+    return !data.empty() && static_cast<std::uint8_t>(data[0]) ==
+                                static_cast<std::uint8_t>(type);
   }
 
   /// Shard for a frame: HELLOs parse their shard fields (and are recorded
@@ -319,7 +299,7 @@ class ShardedEngine {
   /// recorded HELLO, drop_route() must undo the recording.
   [[nodiscard]] std::size_t route(std::span<const std::byte> data) {
     if (data.empty()) throw ProtocolError("empty frame");
-    if (is_hello(data)) {
+    if (is_type(data, v2::FrameType::kHello)) {
       const v2::Frame hello = v2::parse_frame(data);
       if (hello.shard_count != shards_.size()) {
         throw ProtocolError("HELLO shard count does not match this server");
@@ -355,6 +335,7 @@ class ShardedEngine {
     std::deque<std::vector<std::byte>> batch;
     bool streaming = false;
     for (;;) {
+      retire.clear();
       {
         std::unique_lock<std::mutex> lk(sh.mu);
         if (!streaming) {
@@ -373,44 +354,44 @@ class ShardedEngine {
         batch.swap(sh.inbox);
         // Empty drains (maintenance ticks, streaming rounds) are skipped
         // so the histogram reflects queueing, not the wakeup cadence.
-        if (obs_inbox_depth_ != nullptr && !batch.empty()) {
-          obs_inbox_depth_->record(batch.size());
-        }
+        if (!batch.empty()) inbox_depth_->record(batch.size());
         for (const auto& frame : batch) {
           try {
             for (auto& reply : sh.engine.handle_frame(frame)) {
+              // A shed-at-the-cap ERROR names a session the engine already
+              // retired: its route goes with the rest below.
+              if (is_type(reply, v2::FrameType::kError)) {
+                retire.push_back(v2::peek_session_id(reply));
+              }
               outgoing.push_back(std::move(reply));
             }
-          } catch (const ProtocolError&) {
-            // No transport to throw to on the worker: count and drop (the
-            // sync path surfaces the same error to the submitter) -- and a
-            // rejected HELLO must not keep its route recording.
-            ++sh.protocol_errors;
-            if (is_hello(frame)) {
-              try {
-                drop_route(v2::peek_session_id(frame));
-              } catch (const ProtocolError&) {
-                // unroutable garbage: nothing was recorded
-              }
+          } catch (const ProtocolError& e) {
+            // No transport to throw to on the worker: count it. A HELLO
+            // the engine rejected (item size, backend, checksum width,
+            // probe, full table) is answered in-band and loses its route;
+            // other rejects (stale frames racing a retire) just drop.
+            protocol_errors_->inc();
+            if (is_type(frame, v2::FrameType::kHello)) {
+              const std::uint64_t sid = v2::peek_session_id(frame);
+              retire.push_back(sid);
+              outgoing.push_back(v2::make_error_frame(sid, e.what()));
             }
           }
         }
         // Reap sessions whose peers went silent past the idle deadline:
-        // the engine fails + folds them and hands back ERROR frames, which
-        // go to the sink like any reply so the (possibly half-dead) peer
-        // hears why its session died; the routes drop below with the rest.
-        retire.clear();
+        // the engine fails + retires them and hands back ERROR frames,
+        // which go to the sink like any reply so the (possibly half-dead)
+        // peer hears why its session died; the routes drop below.
         for (auto& [sid, frame] : sh.engine.reap_idle()) {
           retire.push_back(sid);
           outgoing.push_back(std::move(frame));
         }
         // One frame per active session per round keeps sessions fair and
         // bounds how far the server runs ahead of in-flight DONEs.
-        // Sessions that reached a terminal state retire immediately --
-        // close_session folds their accounting into the engine's lifetime
-        // totals and their route entries are dropped, so a long-running
-        // server neither re-scans dead sessions every round nor runs
-        // into the max_sessions cap from sessions long finished.
+        // Sessions that reached a terminal state retire immediately and
+        // their route entries are dropped, so a long-running server
+        // neither re-scans dead sessions every round nor runs into the
+        // max_sessions cap from sessions long finished.
         for (const std::uint64_t sid : sh.engine.session_ids()) {
           const SessionStats* stats = sh.engine.session(sid);
           if (stats != nullptr && stats->state != SessionState::kActive) {
@@ -434,8 +415,7 @@ class ShardedEngine {
         try {
           sink_(std::move(frame));
         } catch (const std::exception&) {
-          const std::lock_guard<std::mutex> lk(sh.mu);
-          ++sh.protocol_errors;
+          protocol_errors_->inc();
         }
       }
       outgoing.clear();
@@ -443,13 +423,18 @@ class ShardedEngine {
   }
 
   Hasher hasher_;
+  /// Private registry when the options carry none; declared before every
+  /// member holding its cells so it outlives them.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  EngineCells cells_;  ///< the cells every shard engine records into
+  obs::Histogram* inbox_depth_ = nullptr;
+  obs::Counter* protocol_errors_ = nullptr;
   double reap_wait_s_ = 0;  ///< idle-worker wake interval (0 = wait forever)
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex routes_mu_;
   std::unordered_map<std::uint64_t, std::size_t> routes_;  ///< sid -> shard
   Sink sink_;
   std::atomic<bool> running_{false};
-  obs::Histogram* obs_inbox_depth_ = nullptr;  ///< null = untapped
 };
 
 /// Client-side counterpart: splits one local set across K per-shard

@@ -1107,5 +1107,80 @@ TEST(Engine, ReapIdleReclaimsAbandonedSessions) {
   CHECK_EQ(engine.session_count(), 0u);
 }
 
+// Session conservation under random lifecycles, over many seeds: whatever
+// mix of HELLOs on all four backends, client DONEs and ERRORs, contained
+// failures, closes, idle reaps, and evictions at a small cap drives the
+// engine, after every step its totals satisfy sessions == done + failed +
+// active, with active equal to the kActive sessions still in the table.
+TEST(Engine, SessionConservationHoldsOverRandomLifecycles) {
+  std::uint64_t reaped = 0;
+  std::uint64_t evicted = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    double now = 0.0;
+    EngineOptions options;
+    options.max_sessions = 4;
+    options.idle_deadline_s = 3.0;
+    options.clock = [&now] { return now; };
+    SyncEngine<U64Symbol> engine({}, options);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      engine.add_item(U64Symbol::random(derive_seed(seed, i)));
+    }
+    SplitMix64 rng(seed);
+    std::uint64_t next_sid = 1;
+    for (int step = 0; step < 80; ++step) {
+      // Mostly known sids, sometimes one never opened.
+      const std::uint64_t sid = 1 + rng.next() % next_sid;
+      v2::Frame frame;
+      frame.session_id = sid;
+      try {
+        switch (rng.next() % 8) {
+          case 0:
+          case 1: {
+            SyncClient<U64Symbol> client(next_sid++,
+                                         kAllBackends[rng.next() % 4]);
+            (void)engine.handle_frame(client.hello());
+            break;
+          }
+          case 2:
+            frame.type = v2::FrameType::kDone;
+            (void)engine.handle_frame(v2::encode_frame(frame));
+            break;
+          case 3:
+            (void)engine.handle_frame(v2::make_error_frame(sid, "abort"));
+            break;
+          case 4:
+            // A garbage escalation: a contained failure (or, on a paced
+            // or settled session, a no-op).
+            frame.type = v2::FrameType::kRound;
+            frame.payload = {std::byte{0xff}, std::byte{0xff}};
+            (void)engine.handle_frame(v2::encode_frame(frame));
+            break;
+          case 5:
+            (void)engine.close_session(sid);
+            break;
+          case 6:
+            (void)engine.next_frame(sid);
+            break;
+          default:
+            (void)engine.reap_idle();
+            break;
+        }
+      } catch (const ProtocolError&) {
+        // unknown or retired sid: nothing to account
+      }
+      now += static_cast<double>(rng.next() % 1000) / 1000.0;
+      const EngineTotals t = engine.totals();
+      REQUIRE_EQ(t.sessions, t.done + t.failed + t.active);
+      REQUIRE_EQ(t.active, engine.active_count());
+    }
+    const EngineTotals t = engine.totals();
+    reaped += t.sessions_reaped;
+    evicted += t.sessions_evicted;
+  }
+  // The sweep reached both reclaim paths.
+  CHECK(reaped > 0u);
+  CHECK(evicted > 0u);
+}
+
 }  // namespace
 }  // namespace ribltx::sync

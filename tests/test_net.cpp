@@ -20,6 +20,7 @@
 #include "net/socket_client.hpp"
 #include "net/socket_server.hpp"
 #include "net/uring_server.hpp"
+#include "obs/metrics.hpp"
 #include "testutil.hpp"
 
 namespace ribltx::net {
@@ -476,10 +477,10 @@ TRANSPORT_TEST(DisconnectAbortsTheEngineSession, Item32) {
 }
 
 // An abrupt peer crash mid-rateless-stream must reclaim everything the
-// connection pinned -- the engine session (aborted in-band and folded into
-// the retired accumulator as a failure), the sid->connection route (gauge
-// back to zero), and the connection itself (accepted == closed) -- with no
-// further frames generated for the dead sid.
+// connection pinned -- the engine session (aborted in-band and counted as
+// a failure), the sid->connection route (gauge back to zero), and the
+// connection itself (accepted == closed) -- with no further frames
+// generated for the dead sid.
 TRANSPORT_TEST(MidSessionCrashReclaimsRoutesAndSession, Item32) {
   const auto w = make_set_pair<Item32>(600, 30, 0, 101);
   sync::ShardedEngine<Item32> engine(1);
@@ -555,14 +556,103 @@ TRANSPORT_TEST(IdleSessionReapedOverTcp, Item32) {
   }
   CHECK(got_error);
 
+  // The engine ended the session, so the server drops its route even
+  // though the connection stays open.
   bool quiesced = false;
   for (int spin = 0; spin < 20000 && !quiesced; ++spin) {
     const sync::ShardedStats es = engine.stats();
-    quiesced = es.totals.sessions_reaped == 1 && es.totals.active == 0;
+    quiesced = es.totals.sessions_reaped == 1 && es.totals.active == 0 &&
+               server.stats().routes == 0;
     if (!quiesced) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   CHECK(quiesced);
   server.stop();
+}
+
+// A HELLO the router accepts but the shard engine rejects (here an 8-byte
+// client against a 32-byte server) is answered in-band with the engine's
+// reason, its route is dropped, and the shard workers' reject counter
+// shows up in a scrape.
+TRANSPORT_TEST(EngineRejectedHelloAnsweredInBand, Item32) {
+  obs::MetricsRegistry reg;
+  sync::EngineOptions engine_options;
+  engine_options.metrics = &reg;
+  sync::ShardedEngine<Item32> engine(1, {}, engine_options);
+  SocketServerOptions options;
+  options.metrics = &reg;
+  Server server(engine, options);
+  server.start();
+
+  sync::SyncClient<Item8> narrow(5, BackendId::kRiblt);
+  narrow.set_shard(0, 1);
+  SocketClient sock(server.port());
+  sock.send_frame(narrow.hello());
+  const auto reply = sock.recv_frame(/*timeout_s=*/20.0);
+  REQUIRE(reply.has_value());
+  const auto frame = sync::v2::parse_frame(*reply);
+  CHECK(frame.type == sync::v2::FrameType::kError);
+  CHECK_EQ(frame.session_id, 5u);
+  CHECK_EQ(sync::v2::error_text(frame), std::string("item size mismatch"));
+
+  bool dropped = false;
+  for (int spin = 0; spin < 20000 && !dropped; ++spin) {
+    dropped = server.stats().routes == 0;
+    if (!dropped) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CHECK(dropped);
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+  const auto text = scrape(sock, "METRICS");
+  REQUIRE(text.has_value());
+  CHECK(text->find("\nriblt_shard_protocol_errors_total 1\n") !=
+        std::string::npos);
+  server.stop();
+}
+
+// A default-constructed SocketClient keeps the kernel's receive window: a
+// capped one stalled unpaced loopback streams on TCP persist-timer probes
+// (~200 ms per stall). Back-to-back unpaced rateless sessions over one
+// default client must all complete with a tail far below one such stall.
+// Sanitizer builds distort timing, so there only completion is checked.
+TRANSPORT_TEST(DefaultClientStreamsUnpacedSessionsWithoutStalls, Item8) {
+  constexpr std::size_t kN = 4000;
+  constexpr std::size_t kD = 100;
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kSessions = 200;
+  std::vector<Item8> items;
+  for (std::size_t i = 0; i < kN; ++i) {
+    items.push_back(Item8::random(derive_seed(105, i)));
+  }
+  sync::ShardedEngine<Item8> engine(kShards);
+  for (const auto& x : items) engine.add_item(x);
+  Server server(engine);
+  server.start();
+
+  SocketClient sock(server.port());
+  std::vector<double> latency_ms;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    // Session s misses a distinct kD-item slice of the server's set.
+    sync::ShardedClient<Item8> client(s + 1, kShards, BackendId::kRiblt);
+    const std::size_t start = (s * kD) % kN;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if ((i + kN - start) % kN >= kD) client.add_item(items[i]);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    REQUIRE(run_session(sock, client, /*timeout_s=*/30.0));
+    latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+    REQUIRE_EQ(client.diff().remote.size(), kD);
+    REQUIRE_EQ(client.diff().local.size(), 0u);
+  }
+  server.stop();
+  CHECK_EQ(server.stats().protocol_errors, 0u);
+  std::sort(latency_ms.begin(), latency_ms.end());
+  const double p99 = latency_ms[(latency_ms.size() * 99) / 100];
+  std::printf("  unpaced default-client p99 %.1f ms over %zu sessions\n",
+              p99, latency_ms.size());
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  CHECK(p99 < 50.0);
+#endif
 }
 
 // A peer that stops reading entirely (socket open, zero progress) would

@@ -230,26 +230,20 @@ TEST(Registry, RejectsKindMismatchAndBadNames) {
                std::invalid_argument);
 }
 
-TEST(Registry, SnapshotCarriesValuesAndSyntheticFamiliesCompose) {
+TEST(Registry, SnapshotCarriesValuesAndRenders) {
   MetricsRegistry reg;
   reg.counter("hits_total", "hits").inc(7);
   reg.gauge("depth", "queue depth").set(-3);
   reg.histogram("lat_us", "latency").record(100);
-  MetricsSnapshot s = reg.snapshot();
-  s.add_counter("synthetic_total", "appended at scrape", 11,
-                {{"tier", "server"}});
-  s.add_gauge("synthetic_level", "appended gauge", 5);
+  const MetricsSnapshot s = reg.snapshot();
   ASSERT_EQ(s.find_series("hits_total")->counter, 7u);
   ASSERT_EQ(s.find_series("depth")->gauge, -3);
   ASSERT_EQ(s.find_series("lat_us")->hist.bucket_total(), 1u);
-  ASSERT_EQ(s.find_series("synthetic_total", {{"tier", "server"}})->counter,
-            11u);
-  ASSERT_EQ(s.find_series("synthetic_level")->gauge, 5);
-  // Both renderers accept the composed snapshot; the text form lints.
+  // Both renderers accept the snapshot; the text form lints.
   const std::string text = prometheus_text(s);
   ASSERT_EQ(lint_prometheus(text), "");
   const std::string json = json_text(s);
-  ASSERT_NE(json.find("\"synthetic_total\""), std::string::npos);
+  ASSERT_NE(json.find("\"hits_total\""), std::string::npos);
   ASSERT_NE(json.find("\"p99\""), std::string::npos);
 }
 
@@ -469,15 +463,13 @@ TEST(ObsWiring, EngineSessionsMoveRegistryCellsAndTracer) {
   ASSERT_EQ(opens, 2u);
   ASSERT_EQ(closes, 2u);
 
-  // The full composed exposition (registry + engine totals view) lints.
-  MetricsSnapshot composed = reg.snapshot();
-  sync::append_engine_totals(composed, engine.stats().totals);
-  const std::string text = prometheus_text(composed);
+  // The exposition lints, and the typed totals read the same cells.
+  const std::string text = prometheus_text(reg.snapshot());
   ASSERT_EQ(lint_prometheus(text), "") << text.substr(0, 400);
-  const MetricsSnapshot::Series* totals =
-      composed.find_series("riblt_engine_sessions_total");
-  ASSERT_NE(totals, nullptr);
-  ASSERT_EQ(totals->counter, 2u);
+  const sync::EngineTotals totals = engine.stats().totals;
+  ASSERT_EQ(totals.sessions, 2u);
+  ASSERT_EQ(totals.done, 2u);
+  ASSERT_EQ(totals.bytes_to_peers, bytes->hist.sum);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,17 +157,17 @@ void live_scrape_roundtrip(const char* server_label) {
   // Engine tier moved (registry cells) ...
   ASSERT_NE(text->find("riblt_sessions_opened_total{backend=\"riblt\"}"),
             std::string::npos);
-  // ... transport tier composed (thin view over SocketServerStats) ...
+  // ... transport tier (the server's cells) ...
   ASSERT_NE(text->find("riblt_server_frames_in_total"), std::string::npos);
   ASSERT_NE(
       text->find(std::string("server=\"") + server_label + "\""),
       std::string::npos);
-  // ... engine roll-up composed, and histograms render with buckets.
-  ASSERT_NE(text->find("riblt_engine_sessions_total"), std::string::npos);
+  // ... engine lifecycle, and histograms render with buckets.
+  ASSERT_NE(text->find("riblt_sessions_opened_total"), std::string::npos);
   ASSERT_NE(text->find("riblt_session_bytes_to_peer_bucket"),
             std::string::npos);
   // The opened counter is live (nonzero): every line for it parses as
-  // "name{...} value" -- cheap nonzero check via the composed snapshot.
+  // "name{...} value" -- cheap nonzero check via the registry snapshot.
   const obs::MetricsSnapshot snap = reg.snapshot();
   const auto* opened = snap.find_series("riblt_sessions_opened_total",
                                         {{"backend", "riblt"}});
@@ -202,6 +203,139 @@ TEST(PromLint, LiveScrapeUringMidLoad) {
 #else
   live_scrape_roundtrip<UringServer<Item8>>("epoll");  // alias fallback
 #endif
+}
+
+// ------------------------------------------------------- golden schema
+
+using FamilySet = std::set<std::pair<std::string, std::string>>;
+
+/// The (family, type) pairs a Prometheus text body declares.
+FamilySet families_of(const std::string& text) {
+  FamilySet out;
+  std::size_t pos = 0;
+  while ((pos = text.find("# TYPE ", pos)) != std::string::npos) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string line = text.substr(pos + 7, eol - pos - 7);
+    const std::size_t sp = line.find(' ');
+    out.emplace(line.substr(0, sp), line.substr(sp + 1));
+    pos = eol;
+  }
+  return out;
+}
+
+/// Every family name in `got` but not in `want`, marked '+', and the
+/// reverse, marked '-' -- the failure message of a schema drift.
+std::string schema_drift(const FamilySet& got, const FamilySet& want) {
+  std::string out;
+  for (const auto& f : got) {
+    if (want.count(f) == 0) out += " +" + f.first + ":" + f.second;
+  }
+  for (const auto& f : want) {
+    if (got.count(f) == 0) out += " -" + f.first + ":" + f.second;
+  }
+  return out;
+}
+
+/// The engine tier every tapped scrape carries: lifecycle, per-session
+/// histograms, ingest, and SequenceCache cells.
+const FamilySet kEngineFamilies = {
+    {"riblt_cache_compact_us", "histogram"},
+    {"riblt_cache_compactions_total", "counter"},
+    {"riblt_cache_gate_wait_us", "histogram"},
+    {"riblt_cache_journal_depth", "gauge"},
+    {"riblt_engine_bytes_from_peers_total", "counter"},
+    {"riblt_engine_frames_sent_total", "counter"},
+    {"riblt_engine_items_added_total", "counter"},
+    {"riblt_engine_items_removed_total", "counter"},
+    {"riblt_serve_cpu_us", "histogram"},
+    {"riblt_session_bytes_to_peer", "histogram"},
+    {"riblt_session_rounds", "histogram"},
+    {"riblt_sessions_done_total", "counter"},
+    {"riblt_sessions_evicted_total", "counter"},
+    {"riblt_sessions_failed_total", "counter"},
+    {"riblt_sessions_opened_total", "counter"},
+    {"riblt_sessions_reaped_total", "counter"},
+};
+
+/// The exposition schema of a tapped server over a 2-shard engine after
+/// one session, on either server: any added, missing, or renamed family
+/// fails here.
+template <typename Server>
+FamilySet server_scrape_families() {
+  obs::MetricsRegistry reg;
+  sync::EngineOptions engine_options;
+  engine_options.metrics = &reg;
+  sync::ShardedEngine<Item8> engine(2, {}, engine_options);
+  const auto w = make_set_pair<Item8>(200, 6, 4, 31);
+  for (const auto& x : w.a) engine.add_item(x);
+  SocketServerOptions options;
+  options.metrics = &reg;
+  Server server(engine, options);
+  server.start();
+  SocketClient sock(server.port());
+  sync::ShardedClient<Item8> client(1, 2, sync::BackendId::kRiblt);
+  for (const auto& y : w.b) client.add_item(y);
+  EXPECT_TRUE(run_session(sock, client, 60.0));
+  const auto text = scrape(sock, "METRICS");
+  server.stop();
+  return text ? families_of(*text) : FamilySet{};
+}
+
+TEST(PromLint, ServerScrapeMatchesGoldenSchema) {
+  FamilySet want = kEngineFamilies;
+  want.insert({
+      {"riblt_server_conduit_pending_bytes", "histogram"},
+      {"riblt_server_connections_accepted_total", "counter"},
+      {"riblt_server_connections_closed_total", "counter"},
+      {"riblt_server_frames_dropped_total", "counter"},
+      {"riblt_server_frames_in_total", "counter"},
+      {"riblt_server_frames_out_total", "counter"},
+      {"riblt_server_protocol_errors_total", "counter"},
+      {"riblt_server_routes", "gauge"},
+      {"riblt_server_sqe_submits_total", "counter"},
+      {"riblt_server_syscalls_total", "counter"},
+      {"riblt_shard_inbox_depth", "histogram"},
+      {"riblt_shard_protocol_errors_total", "counter"},
+  });
+  const FamilySet epoll = server_scrape_families<SocketServer<Item8>>();
+  ASSERT_EQ(epoll, want) << schema_drift(epoll, want);
+  const FamilySet uring = server_scrape_families<UringServer<Item8>>();
+  ASSERT_EQ(uring, want) << schema_drift(uring, want);
+}
+
+TEST(PromLint, ReplicaScrapeMatchesGoldenSchema) {
+  obs::MetricsRegistry reg;
+  sync::ReplicaOptions options;
+  options.replica_id = 1;
+  options.engine.metrics = &reg;
+  sync::Replica<Item8> replica(options);
+  std::vector<std::vector<std::byte>> outbox;
+  replica.add_peer(2, [&outbox](std::vector<std::byte> f) {
+    outbox.push_back(std::move(f));
+    return true;
+  });
+  replica.deliver(2, sync::v2::make_admin_frame(7, "METRICS"), 0.5);
+  std::string body;
+  for (const auto& raw : outbox) {
+    body += sync::v2::error_text(sync::v2::parse_frame(raw));
+  }
+  FamilySet want = kEngineFamilies;
+  want.insert({
+      {"riblt_replica_backoff_ms", "histogram"},
+      {"riblt_replica_items_applied_total", "counter"},
+      {"riblt_replica_peer_backoff_ms", "gauge"},
+      {"riblt_replica_peer_converged_total", "counter"},
+      {"riblt_replica_peer_failures", "gauge"},
+      {"riblt_replica_peer_last_success_ms", "gauge"},
+      {"riblt_replica_restarts_total", "counter"},
+      {"riblt_replica_retries_total", "counter"},
+      {"riblt_replica_round_gap_us", "histogram"},
+      {"riblt_replica_rounds_aborted_total", "counter"},
+      {"riblt_replica_rounds_attempted_total", "counter"},
+      {"riblt_replica_rounds_converged_total", "counter"},
+  });
+  const FamilySet got = families_of(body);
+  ASSERT_EQ(got, want) << schema_drift(got, want);
 }
 
 /// Sends one raw ADMIN frame and returns the text of the in-band ERROR it

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/sim_conduit.hpp"
+#include "obs/metrics.hpp"
 #include "sync/replica.hpp"
 #include "testutil.hpp"
 
@@ -151,7 +152,7 @@ TEST(Replica, SendFailureFailsPeerAndReclaimsServing) {
   EXPECT_EQ(replica.session_count(), 0u);
   EXPECT_EQ(replica.stats().rounds_aborted, 1u);
   EXPECT_GT(replica.stats().peers[0].backoff_s, 0.0);
-  const auto totals = replica.stats().engine;
+  const auto totals = replica.engine().totals();
   EXPECT_EQ(totals.active, 0u);
   EXPECT_EQ(totals.sessions, 1u);  // the serving session, now retired
 }
@@ -238,6 +239,28 @@ TEST(Replica, ConvergesAndSuccessResetsBackoff) {
   for (double q = t; q < t + 8.0; q += 0.05) net.step(q);
   EXPECT_EQ(net.a.session_count(), 0u);
   EXPECT_EQ(net.b.session_count(), 0u);
+}
+
+// Staleness is exported in caller-clock milliseconds: the chaos fleet syncs
+// every 0.4 s, so whole seconds would hide it.
+TEST(Replica, StalenessGaugeReadsMilliseconds) {
+  obs::MetricsRegistry reg;
+  auto oa = base_options(1);
+  oa.engine.metrics = &reg;
+  MemPair net(oa, base_options(2));
+  const auto w = make_set_pair<Item32>(40, 3, 2, 71);
+  for (const auto& x : w.a) (void)net.a.add_item(x);
+  for (const auto& y : w.b) (void)net.b.add_item(y);
+  const obs::Labels row{{"replica", "1"}, {"peer", "2"}};
+  const auto last_success_ms = [&] {
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    const auto* g = snap.find_series("riblt_replica_peer_last_success_ms", row);
+    return g == nullptr ? std::int64_t{-2} : g->gauge;
+  };
+  EXPECT_EQ(last_success_ms(), -1);  // never converged yet
+  net.step(1.25);  // A's first round opens, converges, and settles now
+  ASSERT_EQ(net.a.stats().peers[0].converged, 1u);
+  EXPECT_EQ(last_success_ms(), 1250);
 }
 
 // ---------------------------------------------------------- sim transport

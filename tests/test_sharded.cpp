@@ -91,7 +91,6 @@ TEST(Sharded, CrossShardParityMatchesUnsharded) {
     CHECK(key_set(diff.local) == want_local);
     // Stats roll up across shards.
     const ShardedStats stats = engine.stats();
-    CHECK_EQ(stats.shards.size(), shards);
     CHECK_EQ(stats.items, w.a.size());
     CHECK_EQ(stats.totals.sessions, shards);
     CHECK_EQ(stats.totals.done, shards);
@@ -256,6 +255,51 @@ TEST(Sharded, ThreadedServingReconcilesManyClients) {
   const ShardedStats stats = engine.stats();
   CHECK_EQ(stats.totals.done, kShards * kClients);
   CHECK_EQ(stats.protocol_errors, 0u);
+}
+
+// A session the worker evicts at the session cap loses its router route
+// with its ERROR: a later frame for it is rejected at submit() instead of
+// being routed to a shard that no longer knows it.
+TEST(Sharded, EvictedSessionLosesItsRoute) {
+  std::mutex mu;  // declared before the engine: its workers use them
+  std::vector<std::pair<std::uint64_t, v2::FrameType>> seen;
+  EngineOptions options;
+  options.max_sessions = 1;
+  ShardedEngine<Item32> engine(1, {}, options);
+  engine.add_item(Item32::random(1));
+  engine.start([&](std::vector<std::byte> frame) {
+    const auto type = static_cast<v2::FrameType>(frame[0]);
+    if (type == v2::FrameType::kSymbols) return;  // the unread streams
+    const std::lock_guard<std::mutex> lk(mu);
+    seen.emplace_back(v2::peek_session_id(frame), type);
+  });
+  SyncClient<Item32> first(1, BackendId::kRiblt);
+  first.set_shard(0, 1);
+  engine.submit(first.hello());
+  const auto saw = [&](std::uint64_t sid, v2::FrameType type) {
+    for (int spin = 0; spin < 20000; ++spin) {
+      {
+        const std::lock_guard<std::mutex> lk(mu);
+        for (const auto& [s, t] : seen) {
+          if (s == sid && t == type) return true;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  REQUIRE(saw(1, v2::FrameType::kHelloAck));
+  SyncClient<Item32> second(2, BackendId::kRiblt);
+  second.set_shard(0, 1);
+  engine.submit(second.hello());  // at the cap: evicts session 1
+  REQUIRE(saw(1, v2::FrameType::kError));
+  v2::Frame done;
+  done.type = v2::FrameType::kDone;
+  done.session_id = 1;
+  EXPECT_THROW(engine.submit(v2::encode_frame(done)), ProtocolError);
+  engine.stop();
+  CHECK_EQ(engine.stats().totals.sessions_evicted, 1u);
+  CHECK_EQ(engine.stats().protocol_errors, 0u);
 }
 
 // ISSUE 7 tentpole: churn bypasses the shard mutex. Writer threads hammer
