@@ -20,10 +20,13 @@
 //   containment   a frame whose routing prefix cannot be parsed poisons only
 //                 its connection (framing is intact, so it is a hostile or
 //                 broken client, and with no session id there is nobody to
-//                 ERROR); a frame the router rejects (unknown session, bad
-//                 topology) gets a v2 ERROR frame back on its connection;
-//                 failures inside an established session already produce
-//                 in-band ERROR frames from the engine.
+//                 ERROR); a sid already routed to another connection is a
+//                 hijack, answered here with an ERROR; every other frame
+//                 reaches the engine, whose shard worker answers a rejected
+//                 one (unknown session, bad topology) with an ERROR -- which
+//                 releases the route the frame created -- unless a live
+//                 session holds its id; failures inside an established
+//                 session produce in-band ERROR frames from the engine too.
 //
 //   accounting    the transport counters are registry cells (ServerCells),
 //                 bound to SocketServerOptions::metrics or to a private
@@ -104,7 +107,7 @@ struct SocketServerStats {
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
   std::uint64_t frames_dropped = 0;   ///< outbound with no live route
-  std::uint64_t protocol_errors = 0;  ///< router rejects + framing poisons
+  std::uint64_t protocol_errors = 0;  ///< hijacks, ADMIN errors, poisons
   std::uint64_t syscalls_read = 0;    ///< read()s (epoll path)
   std::uint64_t syscalls_write = 0;   ///< sendmsg()s (epoll path)
   std::uint64_t syscalls_wait = 0;    ///< epoll_wait()s / io_uring_enter()s
@@ -147,8 +150,9 @@ struct ServerCells {
                             "Frames staged for sending", l);
     dropped = &m.counter("riblt_server_frames_dropped_total",
                          "Outbound frames with no live route", l);
-    protocol_errors = &m.counter("riblt_server_protocol_errors_total",
-                                 "Router rejects plus framing poisons", l);
+    protocol_errors = &m.counter(
+        "riblt_server_protocol_errors_total",
+        "Hijacked session ids, ADMIN errors and framing poisons", l);
     syscalls_read = &m.counter("riblt_server_syscalls_total", syscall_help,
                                op("read"));
     syscalls_write = &m.counter("riblt_server_syscalls_total", syscall_help,
@@ -353,7 +357,6 @@ class ServingCore {
       handle_admin(conn, sid, frame);
       return true;
     }
-    bool inserted_route = false;
     {
       // Record the reply route up front: the HELLO_ACK can race out of the
       // shard worker before submit() returns. A sid already routed to a
@@ -368,20 +371,10 @@ class ServingCore {
                               sid, "session belongs to another connection"));
         return true;
       }
-      inserted_route = inserted;
     }
-    try {
-      engine_.submit(std::move(frame));
-    } catch (const sync::ProtocolError& e) {
-      // Router-level reject (bad topology, unknown session, duplicate
-      // HELLO): contained to this session; tell the peer in-band. Only a
-      // route THIS frame created is undone -- a duplicate HELLO must not
-      // sever the live session's reply route.
-      cells_.protocol_errors->inc();
-      if (inserted_route) drop_route_if_self(sid, *conn);
-      stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
-      return true;
-    }
+    // The prefix parsed, so submit() cannot throw: a frame the engine
+    // rejects comes back from its shard worker (see the containment note).
+    engine_.submit(std::move(frame));
     if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
         type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
       // The client ended the session; nothing meaningful flows back. The
@@ -478,11 +471,7 @@ class ServingCore {
       cells_.routes->add(-static_cast<std::int64_t>(orphaned.size()));
     }
     for (const std::uint64_t sid : orphaned) {
-      try {
-        engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-      } catch (const sync::ProtocolError&) {
-        // Router no longer knows the session (already retired): done.
-      }
+      engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
     }
   }
 
@@ -491,7 +480,8 @@ class ServingCore {
   /// designed backpressure: the worker stops pumping this shard's sessions
   /// until the peer's socket drains. An ERROR ends its session on the
   /// engine side (contained failure, idle reap, cap eviction, rejected
-  /// HELLO), so staging one also drops the session's route.
+  /// frame), so it drops the session's route -- before staging, so a peer
+  /// that reads the ERROR and disconnects finds no route left to abort.
   template <typename Wake>
   void sink(std::vector<std::byte> frame, const Wake& wake) {
     std::uint64_t sid = 0;
@@ -501,8 +491,6 @@ class ServingCore {
       cells_.dropped->inc();
       return;  // engine frames are well-formed; defensive only
     }
-    const bool ends_session =
-        frame[0] == static_cast<std::byte>(sync::v2::FrameType::kError);
     ConnPtr conn;
     {
       const std::lock_guard<std::mutex> lk(conns_mu_);
@@ -512,6 +500,9 @@ class ServingCore {
     if (!conn) {
       cells_.dropped->inc();
       return;  // peer disconnected (or finished) mid-stream
+    }
+    if (frame[0] == static_cast<std::byte>(sync::v2::FrameType::kError)) {
+      drop_route_if_self(sid, *conn);
     }
     {
       std::unique_lock<std::mutex> lk(conn->mu);
@@ -551,7 +542,6 @@ class ServingCore {
       conn->staged.push_back(std::move(frame));
     }
     cells_.frames_out->inc();
-    if (ends_session) drop_route_if_self(sid, *conn);
     mark_dirty(conn);
     nudge(wake);
   }

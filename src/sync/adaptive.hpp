@@ -5,13 +5,13 @@
 // Three pieces close the loop (ISSUE 6 tentpole; rate-compatible
 // reconciliation, Lazaro & Matuz arXiv:2211.05472, is the theory anchor):
 //
-//   1. A cheap up-front d estimate. The client may attach a tiny strata
+//   1. A cheap up-front d estimate. The client may attach a small strata
 //      probe digest to its HELLO (kProbe* geometry below -- 16 strata x 4
-//      cells, k=3, narrow checksums: ~850 B for 8-byte items, first
-//      contact only). The server subtracts its own live digest and reads a
-//      power-of-two-grade estimate. Without a probe the server falls back
-//      to a per-peer EWMA of past session diffs (PeerEwma), then to a
-//      configured default.
+//      cells, k=3, narrow checksums: ~1.3 KB for 8-byte items, ~3.6 KB for
+//      32-byte ones, first contact only). The server subtracts its own live
+//      digest and reads a power-of-two-grade estimate. Without a probe the
+//      server falls back to a per-peer EWMA of past session diffs
+//      (PeerEwma), then to a configured default.
 //
 //   2. A cost model (estimate_cost / choose_backend) that prices each
 //      backend's bytes, round trips, and CPU for that d against a
@@ -48,8 +48,11 @@ namespace ribltx::sync::adaptive {
 /// must build the same shape for the subtract to be meaningful, and the
 /// server rejects nothing on mismatch (it just falls back to the EWMA), so
 /// skewed builds degrade gracefully. 16 strata x 4 cells x k=3 with
-/// narrow checksums is ~64 cells: enough for an order-of-magnitude d
-/// estimate (which is all backend choice needs), ~850 B for 8-byte items.
+/// narrow checksums is 96 cells (Iblt rounds each stratum up to 6 cells,
+/// a multiple of k): enough for an order-of-magnitude d estimate (which is
+/// all backend choice needs). Serialized: 1261 B empty and 1297 B at 10^4
+/// items for 8-byte items (test_engine pins the empty size), 3565-3601 B
+/// for 32-byte items.
 inline constexpr std::size_t kProbeStrata = 16;
 inline constexpr std::size_t kProbeCells = 4;
 inline constexpr unsigned kProbeK = 3;

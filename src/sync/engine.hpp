@@ -88,9 +88,11 @@ inline constexpr std::uint8_t kVersion = 2;
 
 /// HELLO flag bit: the frame carries `uvarint shard_index | uvarint
 /// shard_count` after the flags byte. A client talking to a ShardedEngine
-/// splits its set with shard_of_hash() and opens one session per shard;
-/// the shard fields let the server verify both ends agree on the topology
-/// and route the session without a side channel.
+/// splits its set with shard_of_hash() and opens one session per shard,
+/// numbering them so that (sid - 1) mod shard_count == shard_index
+/// (shard_of_session()): the server routes every frame by its id alone,
+/// and the shard fields let the shard engine verify that both ends agree
+/// on the topology and that the HELLO reached the shard it names.
 inline constexpr std::uint8_t kFlagSharded = 0x01;
 
 /// HELLO flag bit: request the §6 count compression on the SYMBOLS stream.

@@ -1,4 +1,4 @@
-// Multi-core sharded serving: a session router over K per-shard engines.
+// Multi-core sharded serving: a stateless router over K per-shard engines.
 //
 // One SyncEngine is single-threaded by design (one SequenceCache, one
 // session table). To scale a server past one core, ShardedEngine partitions
@@ -11,12 +11,14 @@
 // so sharded reconciliation recovers the same diff as unsharded (the
 // cross-shard parity test pins this).
 //
-// Topology negotiation rides in HELLO: a sharded session's HELLO carries
-// (shard_index, shard_count) behind v2::kFlagSharded, the router routes it
-// to shard_index, and the shard engine rejects any topology mismatch
-// loudly (ProtocolError) before symbols flow. Non-HELLO frames route by the
-// session id the router recorded at HELLO time, read with
-// v2::peek_session_id (no payload copy on the router thread).
+// Routing is by session id alone: sub-session s of a sharded client lives
+// on shard shard_of_session(sid, K) = (sid - 1) mod K (ShardedClient
+// numbers its sub-sessions that way), so the router reads the id with
+// v2::peek_session_id (no payload copy) and keeps no table. A sharded
+// HELLO still carries (shard_index, shard_count) behind v2::kFlagSharded
+// as the consistency check: the shard engine rejects one whose fields
+// disagree with the shard it reached before symbols flow. Topology,
+// duplicate and unknown-session verdicts all belong to the shard engines.
 //
 // Threaded serving: start() launches one worker per shard, each owning its
 // engine behind the shard mutex with an inbox of raw frames. A worker
@@ -24,8 +26,9 @@
 // round, handing output to the sink *outside* the shard lock (so a sink
 // may call submit() -- even back into the same shard -- without deadlock).
 // A blocking sink is the backpressure: the worker streams as fast as the
-// sink accepts, which is the paper's serve-at-line-rate model. Set churn
-// (add_item/remove_item/contains/item_count) bypasses the shard mutex
+// sink accepts, which is the paper's serve-at-line-rate model. The worker
+// is also the one place that answers a rejected frame (see worker()). Set
+// churn (add_item/remove_item/contains/item_count) bypasses the shard mutex
 // entirely -- SyncEngine's ingest surface is internally synchronized
 // (striped index, lock-free cache churn, per-lane probes), so any number
 // of writer threads can churn a shard while its worker streams sessions;
@@ -43,13 +46,13 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,6 +67,15 @@ namespace ribltx::sync {
     std::uint64_t hash, std::size_t shard_count) noexcept {
   return static_cast<std::size_t>(
       ((hash >> 32) * static_cast<std::uint64_t>(shard_count)) >> 32);
+}
+
+/// The consistent session->shard map: ShardedClient gives sub-session s of
+/// base id B the id (B-1)*K + s + 1, so the id alone names its shard. Id 0
+/// is reserved (v2::peek_session_id rejects it), so sid - 1 never wraps.
+[[nodiscard]] constexpr std::size_t shard_of_session(
+    std::uint64_t session_id, std::size_t shard_count) noexcept {
+  return static_cast<std::size_t>((session_id - 1) %
+                                  static_cast<std::uint64_t>(shard_count));
 }
 
 /// Whole-engine stats: the shards' shared accounting cells plus the live
@@ -115,8 +127,9 @@ class ShardedEngine {
         "Frames drained per shard worker wakeup (non-empty drains)");
     protocol_errors_ = &m.counter(
         "riblt_shard_protocol_errors_total",
-        "Frames the shard workers rejected: engine-rejected HELLOs "
-        "(answered with an ERROR), stale frames, and failed sink calls");
+        "Frames the shard engines rejected, plus failed sink calls; a "
+        "reject is answered with an ERROR only when no live session holds "
+        "its id and it is not itself a DONE or ERROR");
   }
 
   ~ShardedEngine() { stop(); }
@@ -170,49 +183,26 @@ class ShardedEngine {
 
   /// Routes one client frame to its shard engine and returns the replies --
   /// the single-threaded mirror of SyncEngine::handle_frame, used by tests
-  /// and in-process callers. Throws ProtocolError exactly where SyncEngine
-  /// would (unattributable frames, topology mismatches).
+  /// and in-process callers. Throws ProtocolError exactly where the shard's
+  /// SyncEngine does (unattributable frames, topology mismatches).
   std::vector<std::vector<std::byte>> handle_frame(
       std::span<const std::byte> data) {
-    Shard& sh = *shards_[route(data)];
-    try {
-      const std::lock_guard<std::mutex> lk(sh.mu);
-      return sh.engine.handle_frame(data);
-    } catch (...) {
-      // A HELLO the shard engine rejected must not leave its freshly
-      // recorded route behind.
-      if (is_type(data, v2::FrameType::kHello)) {
-        drop_route(v2::peek_session_id(data));
-      }
-      throw;
-    }
+    Shard& sh = shard_for(v2::peek_session_id(data));
+    const std::lock_guard<std::mutex> lk(sh.mu);
+    return sh.engine.handle_frame(data);
   }
 
   /// Produces the next SYMBOLS frame for a session (synchronous path).
   std::optional<std::vector<std::byte>> next_frame(std::uint64_t session_id) {
-    const std::optional<std::size_t> k = route_of(session_id);
-    if (!k) return std::nullopt;
-    Shard& sh = *shards_[*k];
+    Shard& sh = shard_for(session_id);
     const std::lock_guard<std::mutex> lk(sh.mu);
     return sh.engine.next_frame(session_id);
   }
 
   bool close_session(std::uint64_t session_id) {
-    const std::optional<std::size_t> k = route_of(session_id);
-    if (!k) return false;
-    Shard& sh = *shards_[*k];
-    bool erased = false;
-    {
-      const std::lock_guard<std::mutex> lk(sh.mu);
-      erased = sh.engine.close_session(session_id);
-    }
-    // Drop the route only when the engine actually held the session: if
-    // the HELLO is still queued in the shard inbox, erasing here would
-    // orphan the session the worker is about to open (unreachable by any
-    // route_of-gated API, streaming forever). Leaving the route intact
-    // keeps the session addressable so a later close_session lands.
-    if (erased) drop_route(session_id);
-    return erased;
+    Shard& sh = shard_for(session_id);
+    const std::lock_guard<std::mutex> lk(sh.mu);
+    return sh.engine.close_session(session_id);
   }
 
   // ------------------------------------------------------ threaded path
@@ -250,11 +240,13 @@ class ShardedEngine {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Enqueues one raw client frame for its shard's worker. Thread-safe.
-  /// Unroutable frames (garbage prefix, unknown session, bad topology)
-  /// throw ProtocolError to the caller, exactly like the synchronous path.
+  /// Enqueues one raw client frame for the worker of the shard its session
+  /// id names. Thread-safe. Throws ProtocolError only on a frame whose
+  /// routing prefix does not parse; every other verdict (unknown session,
+  /// duplicate HELLO, bad topology) is the shard engine's, counted and
+  /// answered by its worker.
   void submit(std::vector<std::byte> frame) {
-    Shard& sh = *shards_[route(frame)];
+    Shard& sh = shard_for(v2::peek_session_id(frame));
     {
       const std::lock_guard<std::mutex> lk(sh.mu);
       sh.inbox.push_back(std::move(frame));
@@ -286,56 +278,15 @@ class ShardedEngine {
     std::thread thread;
   };
 
-  [[nodiscard]] static bool is_type(std::span<const std::byte> data,
-                                     v2::FrameType type) {
-    return !data.empty() && static_cast<std::uint8_t>(data[0]) ==
-                                static_cast<std::uint8_t>(type);
-  }
-
-  /// Shard for a frame: HELLOs parse their shard fields (and are recorded
-  /// sid->shard -- rejecting a sid that is already routed, so a duplicate
-  /// HELLO can never hijack a live session's route); everything else
-  /// routes by the recorded session. If the shard engine then rejects a
-  /// recorded HELLO, drop_route() must undo the recording.
-  [[nodiscard]] std::size_t route(std::span<const std::byte> data) {
-    if (data.empty()) throw ProtocolError("empty frame");
-    if (is_type(data, v2::FrameType::kHello)) {
-      const v2::Frame hello = v2::parse_frame(data);
-      if (hello.shard_count != shards_.size()) {
-        throw ProtocolError("HELLO shard count does not match this server");
-      }
-      const std::lock_guard<std::mutex> lk(routes_mu_);
-      const auto [it, inserted] =
-          routes_.emplace(hello.session_id, hello.shard_index);
-      if (!inserted) throw ProtocolError("duplicate HELLO for session");
-      return hello.shard_index;
-    }
-    const std::uint64_t sid = v2::peek_session_id(data);
-    const std::optional<std::size_t> k = route_of(sid);
-    if (!k) throw ProtocolError("unknown session id");
-    return *k;
-  }
-
-  void drop_route(std::uint64_t session_id) {
-    const std::lock_guard<std::mutex> lk(routes_mu_);
-    routes_.erase(session_id);
-  }
-
-  [[nodiscard]] std::optional<std::size_t> route_of(
-      std::uint64_t session_id) const {
-    const std::lock_guard<std::mutex> lk(routes_mu_);
-    const auto it = routes_.find(session_id);
-    if (it == routes_.end()) return std::nullopt;
-    return it->second;
+  [[nodiscard]] Shard& shard_for(std::uint64_t session_id) {
+    return *shards_[shard_of_session(session_id, shards_.size())];
   }
 
   void worker(Shard& sh) {
     std::vector<std::vector<std::byte>> outgoing;
-    std::vector<std::uint64_t> retire;
     std::deque<std::vector<std::byte>> batch;
     bool streaming = false;
     for (;;) {
-      retire.clear();
       {
         std::unique_lock<std::mutex> lk(sh.mu);
         if (!streaming) {
@@ -358,22 +309,19 @@ class ShardedEngine {
         for (const auto& frame : batch) {
           try {
             for (auto& reply : sh.engine.handle_frame(frame)) {
-              // A shed-at-the-cap ERROR names a session the engine already
-              // retired: its route goes with the rest below.
-              if (is_type(reply, v2::FrameType::kError)) {
-                retire.push_back(v2::peek_session_id(reply));
-              }
               outgoing.push_back(std::move(reply));
             }
           } catch (const ProtocolError& e) {
-            // No transport to throw to on the worker: count it. A HELLO
-            // the engine rejected (item size, backend, checksum width,
-            // probe, full table) is answered in-band and loses its route;
-            // other rejects (stale frames racing a retire) just drop.
+            // No transport to throw to on the worker: count every reject,
+            // and answer in-band (which releases the frame's reply route)
+            // only when no session here holds the id -- a duplicate HELLO
+            // must not end the live session's route -- and the frame is
+            // not a DONE or ERROR, whose sender has already moved on.
             protocol_errors_->inc();
-            if (is_type(frame, v2::FrameType::kHello)) {
-              const std::uint64_t sid = v2::peek_session_id(frame);
-              retire.push_back(sid);
+            const std::uint64_t sid = v2::peek_session_id(frame);
+            const auto type = static_cast<v2::FrameType>(frame[0]);
+            if (sh.engine.session(sid) == nullptr &&
+                type != v2::FrameType::kDone && type != v2::FrameType::kError) {
               outgoing.push_back(v2::make_error_frame(sid, e.what()));
             }
           }
@@ -381,22 +329,19 @@ class ShardedEngine {
         // Reap sessions whose peers went silent past the idle deadline:
         // the engine fails + retires them and hands back ERROR frames,
         // which go to the sink like any reply so the (possibly half-dead)
-        // peer hears why its session died; the routes drop below.
-        for (auto& [sid, frame] : sh.engine.reap_idle()) {
-          retire.push_back(sid);
-          outgoing.push_back(std::move(frame));
+        // peer hears why its session died.
+        for (auto& reaped : sh.engine.reap_idle()) {
+          outgoing.push_back(std::move(reaped.second));
         }
         // One frame per active session per round keeps sessions fair and
         // bounds how far the server runs ahead of in-flight DONEs.
-        // Sessions that reached a terminal state retire immediately and
-        // their route entries are dropped, so a long-running server
-        // neither re-scans dead sessions every round nor runs into the
-        // max_sessions cap from sessions long finished.
+        // Sessions that reached a terminal state retire immediately, so a
+        // long-running server neither re-scans dead sessions every round
+        // nor runs into the max_sessions cap from sessions long finished.
         for (const std::uint64_t sid : sh.engine.session_ids()) {
           const SessionStats* stats = sh.engine.session(sid);
           if (stats != nullptr && stats->state != SessionState::kActive) {
             (void)sh.engine.close_session(sid);
-            retire.push_back(sid);
             continue;
           }
           if (auto frame = sh.engine.next_frame(sid)) {
@@ -405,12 +350,10 @@ class ShardedEngine {
         }
         streaming = !outgoing.empty();
       }
-      for (const std::uint64_t sid : retire) drop_route(sid);
       // Deliver outside the lock: a sink may block (backpressure) or call
       // submit() -- even into this shard -- without deadlocking. A sink
-      // that throws (e.g. it re-submits a reply whose session was retired
-      // moments earlier) is contained per frame and counted, not allowed
-      // to escape the thread entry point and terminate the process.
+      // that throws is contained per frame and counted, not allowed to
+      // escape the thread entry point and terminate the process.
       for (auto& frame : outgoing) {
         try {
           sink_(std::move(frame));
@@ -431,8 +374,6 @@ class ShardedEngine {
   obs::Counter* protocol_errors_ = nullptr;
   double reap_wait_s_ = 0;  ///< idle-worker wake interval (0 = wait forever)
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex routes_mu_;
-  std::unordered_map<std::uint64_t, std::size_t> routes_;  ///< sid -> shard
   Sink sink_;
   std::atomic<bool> running_{false};
 };
@@ -440,7 +381,8 @@ class ShardedEngine {
 /// Client-side counterpart: splits one local set across K per-shard
 /// SyncClient sessions with the same consistent hash and merges the
 /// per-shard differences. Sub-session s of a client with base id B gets
-/// session id (B-1)*K + s + 1, so distinct bases never collide.
+/// session id (B-1)*K + s + 1, so distinct bases never collide and
+/// shard_of_session() maps every sub-session id back to its shard.
 ///
 /// Thread-safety: handle_frame for different shards touches disjoint
 /// sub-clients, so the K shard workers of a ShardedEngine may call it
@@ -453,21 +395,25 @@ class ShardedClient {
   ShardedClient(std::uint64_t base_session_id, std::size_t shard_count,
                 BackendId backend, Hasher hasher = Hasher{},
                 ReconcilerConfig config = ReconcilerConfig{})
-      : hasher_(std::move(hasher)),
-        base_(base_session_id),
-        shard_count_(shard_count) {
+      : hasher_(std::move(hasher)), base_(base_session_id) {
     if (base_session_id == 0) {
       throw std::invalid_argument("ShardedClient: session id 0 is reserved");
     }
     if (shard_count == 0 || shard_count > ShardedEngine<T>::kMaxShards) {
       throw std::invalid_argument("ShardedClient: shard count out of range");
     }
+    if (base_session_id >
+        std::numeric_limits<std::uint64_t>::max() / shard_count) {
+      // B*K must fit: past it the sub-session ids (and owns()) wrap.
+      throw std::invalid_argument(
+          "ShardedClient: base id overflows the sub-session ids");
+    }
     subs_.reserve(shard_count);
     terminal_ = std::make_unique<std::atomic<std::size_t>>(0);
     failures_ = std::make_unique<std::atomic<std::size_t>>(0);
     for (std::size_t s = 0; s < shard_count; ++s) {
       subs_.push_back(std::make_unique<SyncClient<T, Hasher>>(
-          sub_session_id(s), backend, hasher_, config));
+          (base_ - 1) * shard_count + s + 1, backend, hasher_, config));
       subs_.back()->set_shard(static_cast<std::uint32_t>(s),
                               static_cast<std::uint32_t>(shard_count));
     }
@@ -479,7 +425,7 @@ class ShardedClient {
   }
 
   [[nodiscard]] std::uint64_t sub_session_id(std::size_t shard) const {
-    return (base_ - 1) * shard_count_ + shard + 1;
+    return subs_[shard]->session_id();
   }
 
   /// Adds a local item: hashed once, routed to its shard's sub-client,
@@ -522,8 +468,7 @@ class ShardedClient {
     if (!owns(sid)) {
       throw ProtocolError("frame for a different sharded client");
     }
-    const std::size_t s =
-        static_cast<std::size_t>((sid - 1) % subs_.size());
+    const std::size_t s = shard_of_session(sid, subs_.size());
     SyncClient<T, Hasher>& sub = *subs_[s];
     auto out = sub.handle_frame(data);
     if (!counted_[s] && (sub.complete() || sub.failed())) {
@@ -575,7 +520,6 @@ class ShardedClient {
  private:
   Hasher hasher_;
   std::uint64_t base_;
-  std::size_t shard_count_;
   std::vector<std::unique_ptr<SyncClient<T, Hasher>>> subs_;
   std::vector<std::uint8_t> counted_;  ///< per-shard terminal latch
   std::unique_ptr<std::atomic<std::size_t>> terminal_;

@@ -994,6 +994,15 @@ TEST(Engine, MalformedProbeRejectedButGeometrySkewDegrades) {
   CHECK_EQ(stats->d_estimate, adaptive::AdaptiveOptions{}.default_d);
 }
 
+// The adaptive probe's wire size, pinned: 16 strata of 4 cells, each
+// rounded up to 6 cells for k = 3, serialize to 1261 B empty for 8-byte
+// items. Shrinking the probe has to change this number on purpose.
+TEST(Engine, AdaptiveProbeWireSizeIsPinned) {
+  const auto probe = adaptive::make_probe<U64Symbol, SipHasher<U64Symbol>>(
+      SipHasher<U64Symbol>{});
+  CHECK_EQ(probe.serialize(adaptive::kProbeChecksumLen).size(), 1261u);
+}
+
 TEST(Engine, SessionLimitShedsOldestIdleInsteadOfRejecting) {
   // A fake clock orders the sessions' last-activity stamps deterministically.
   double now = 0.0;

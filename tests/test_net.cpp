@@ -608,6 +608,123 @@ TRANSPORT_TEST(EngineRejectedHelloAnsweredInBand, Item32) {
   server.stop();
 }
 
+// A frame for a session nobody opened passes the stateless router and is
+// answered by the shard its id names: ERROR "unknown session id", the reply
+// route the frame created released, one reject on the shard counter and
+// none on the server's.
+TRANSPORT_TEST(UnknownSessionAnsweredByItsShard, Item32) {
+  sync::ShardedEngine<Item32> engine(2);
+  Server server(engine);
+  server.start();
+
+  sync::v2::Frame round;
+  round.type = sync::v2::FrameType::kRound;
+  round.session_id = 77;
+  SocketClient sock(server.port());
+  sock.send_frame(sync::v2::encode_frame(round));
+  const auto reply = sock.recv_frame(/*timeout_s=*/20.0);
+  REQUIRE(reply.has_value());
+  const auto frame = sync::v2::parse_frame(*reply);
+  CHECK(frame.type == sync::v2::FrameType::kError);
+  CHECK_EQ(frame.session_id, 77u);
+  CHECK_EQ(sync::v2::error_text(frame), std::string("unknown session id"));
+
+  bool released = false;
+  for (int spin = 0; spin < 20000 && !released; ++spin) {
+    released = server.stats().routes == 0;
+    if (!released) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CHECK(released);
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+  CHECK_EQ(server.stats().protocol_errors, 0u);
+  server.stop();
+}
+
+// A duplicate HELLO on the owner's own connection mid-session: the shard
+// engine rejects it, but a live session holds the id, so the worker counts
+// the reject without answering it -- an ERROR would end the live session's
+// reply route. The session streams on to the exact diff.
+TRANSPORT_TEST(DuplicateHelloLeavesLiveSessionServing, Item32) {
+  const auto w = make_set_pair<Item32>(1000, 150, 50, 106);
+  sync::ShardedEngine<Item32> engine(1);
+  for (const auto& x : w.a) engine.add_item(x);
+  Server server(engine);
+  server.start();
+
+  sync::SyncClient<Item32> owner(71, BackendId::kRiblt);
+  owner.set_shard(0, 1);
+  for (const auto& y : w.b) owner.add_item(y);
+  const auto hello = owner.hello();
+  SocketClient sock(server.port());
+  sock.send_frame(hello);
+  std::size_t frames = 0;
+  std::size_t errors = 0;
+  const auto absorb = [&](const std::vector<std::byte>& raw) {
+    ++frames;
+    if (sync::v2::parse_frame(raw).type == sync::v2::FrameType::kError) {
+      ++errors;
+    }
+    for (auto& out : owner.handle_frame(raw)) sock.send_frame(std::move(out));
+  };
+  // HELLO_ACK plus the first SYMBOLS frame: the session is live mid-stream
+  // when its HELLO arrives again.
+  for (int i = 0; i < 2; ++i) {
+    auto f = sock.recv_frame(/*timeout_s=*/20.0);
+    REQUIRE(f.has_value());
+    absorb(*f);
+  }
+  REQUIRE(!owner.complete());
+  sock.send_frame(hello);
+  // Hold the stream unabsorbed, so the session cannot end, until the shard
+  // has rejected the duplicate; then give any answer it would send time to
+  // claim the live route before the session may finish.
+  std::vector<std::vector<std::byte>> held;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (engine.stats().protocol_errors == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (auto f = sock.recv_frame(/*timeout_s=*/0.001)) {
+      held.push_back(std::move(*f));
+    }
+  }
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const auto& f : held) absorb(f);
+  while (!owner.complete() && !owner.failed()) {
+    auto f = sock.recv_frame(/*timeout_s=*/20.0);
+    REQUIRE(f.has_value());
+    absorb(*f);
+  }
+  CHECK(frames >= 4u);  // several SYMBOLS frames streamed
+  // Keep reading until the DONE released the route and the stream ran dry:
+  // nothing the server staged may be an ERROR.
+  bool released = false;
+  for (int spin = 0; spin < 2000; ++spin) {
+    released = server.stats().routes == 0;
+    const auto f = sock.recv_frame(/*timeout_s=*/0.05);
+    if (f) {
+      CHECK(sync::v2::parse_frame(*f).type != sync::v2::FrameType::kError);
+    } else if (released) {
+      break;
+    }
+  }
+  CHECK(released);
+  CHECK_EQ(errors, 0u);
+  REQUIRE(owner.complete());
+  CHECK(key_set(owner.diff().remote) == key_set(w.only_a));
+  CHECK(key_set(owner.diff().local) == key_set(w.only_b));
+
+  bool quiesced = false;
+  for (int spin = 0; spin < 20000 && !quiesced; ++spin) {
+    quiesced = engine.stats().totals.active == 0 &&
+               server.stats().routes == 0;
+    if (!quiesced) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CHECK(quiesced);
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+  server.stop();
+}
+
 // A default-constructed SocketClient keeps the kernel's receive window: a
 // capped one stalled unpaced loopback streams on TCP persist-timer probes
 // (~200 ms per stall). Back-to-back unpaced rateless sessions over one

@@ -1,15 +1,20 @@
 // Tests for the multi-core sharded serving path (sync/sharded.hpp): the
 // cross-shard parity acceptance criterion (sharded diff == unsharded diff),
-// the HELLO topology negotiation, the consistent item->shard hash, and a
-// threaded-serving smoke that drives real worker threads end to end (runs
-// under the ASan job).
+// the HELLO topology negotiation, the consistent item->shard and
+// session->shard maps, the shard workers' answers to rejected frames, and
+// a threaded-serving smoke that drives real worker threads end to end
+// (runs under the ASan job).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sync/sharded.hpp"
@@ -169,7 +174,7 @@ TEST(Sharded, HelloTopologyMismatchesAreRejected) {
   ShardedEngine<Item32> engine(4);
   engine.add_item(Item32::random(1));
 
-  // Wrong shard count: rejected at the router.
+  // Wrong shard count: rejected by the shard engine its id routes to.
   SyncClient<Item32> wrong_count(1, BackendId::kRiblt);
   wrong_count.set_shard(0, 2);
   EXPECT_THROW((void)engine.handle_frame(wrong_count.hello()), ProtocolError);
@@ -185,12 +190,24 @@ TEST(Sharded, HelloTopologyMismatchesAreRejected) {
   sharded.set_shard(1, 4);
   EXPECT_THROW((void)flat.handle_frame(sharded.hello()), ProtocolError);
 
-  // Non-HELLO frame for a session nobody opened: unroutable.
+  // Non-HELLO frame for a session nobody opened: its shard knows no such id.
   v2::Frame round;
   round.type = v2::FrameType::kRound;
   round.session_id = 99;
   EXPECT_THROW((void)engine.handle_frame(v2::encode_frame(round)),
                ProtocolError);
+
+  // Routed by its id, a HELLO whose shard_index names another shard than
+  // (sid - 1) mod K reaches a shard that refuses it.
+  SyncClient<Item32> stray(6, BackendId::kRiblt);  // id 6 lives on shard 1
+  stray.set_shard(2, 4);
+  std::string what;
+  try {
+    (void)engine.handle_frame(stray.hello());
+  } catch (const ProtocolError& e) {
+    what = e.what();
+  }
+  CHECK_EQ(what, std::string("HELLO routed to the wrong shard"));
 
   // A correct HELLO still opens (index within count, matching topology).
   SyncClient<Item32> ok(4, BackendId::kRiblt);
@@ -257,12 +274,13 @@ TEST(Sharded, ThreadedServingReconcilesManyClients) {
   CHECK_EQ(stats.protocol_errors, 0u);
 }
 
-// A session the worker evicts at the session cap loses its router route
-// with its ERROR: a later frame for it is rejected at submit() instead of
-// being routed to a shard that no longer knows it.
-TEST(Sharded, EvictedSessionLosesItsRoute) {
+// A session the worker evicts at the session cap is gone from its shard.
+// The router keeps no table to consult, so a late ROUND for it is accepted
+// by submit(); the shard worker then answers it in-band with the engine's
+// verdict and counts one reject.
+TEST(Sharded, LateFrameForEvictedSessionAnsweredByItsShard) {
   std::mutex mu;  // declared before the engine: its workers use them
-  std::vector<std::pair<std::uint64_t, v2::FrameType>> seen;
+  std::vector<std::pair<std::uint64_t, std::string>> seen;  // sid, reason
   EngineOptions options;
   options.max_sessions = 1;
   ShardedEngine<Item32> engine(1, {}, options);
@@ -270,36 +288,111 @@ TEST(Sharded, EvictedSessionLosesItsRoute) {
   engine.start([&](std::vector<std::byte> frame) {
     const auto type = static_cast<v2::FrameType>(frame[0]);
     if (type == v2::FrameType::kSymbols) return;  // the unread streams
+    const v2::Frame f = v2::parse_frame(frame);
     const std::lock_guard<std::mutex> lk(mu);
-    seen.emplace_back(v2::peek_session_id(frame), type);
+    seen.emplace_back(f.session_id, type == v2::FrameType::kError
+                                        ? v2::error_text(f)
+                                        : std::string("ack"));
   });
   SyncClient<Item32> first(1, BackendId::kRiblt);
   first.set_shard(0, 1);
   engine.submit(first.hello());
-  const auto saw = [&](std::uint64_t sid, v2::FrameType type) {
+  const auto saw = [&](std::uint64_t sid, const std::string& what) {
     for (int spin = 0; spin < 20000; ++spin) {
       {
         const std::lock_guard<std::mutex> lk(mu);
-        for (const auto& [s, t] : seen) {
-          if (s == sid && t == type) return true;
+        for (const auto& [s, w] : seen) {
+          if (s == sid && w == what) return true;
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return false;
   };
-  REQUIRE(saw(1, v2::FrameType::kHelloAck));
+  REQUIRE(saw(1, "ack"));
   SyncClient<Item32> second(2, BackendId::kRiblt);
   second.set_shard(0, 1);
   engine.submit(second.hello());  // at the cap: evicts session 1
-  REQUIRE(saw(1, v2::FrameType::kError));
-  v2::Frame done;
-  done.type = v2::FrameType::kDone;
-  done.session_id = 1;
-  EXPECT_THROW(engine.submit(v2::encode_frame(done)), ProtocolError);
+  REQUIRE(saw(1, "evicted at session cap"));
+  v2::Frame round;
+  round.type = v2::FrameType::kRound;
+  round.session_id = 1;
+  EXPECT_NO_THROW(engine.submit(v2::encode_frame(round)));
+  CHECK(saw(1, "unknown session id"));
   engine.stop();
   CHECK_EQ(engine.stats().totals.sessions_evicted, 1u);
-  CHECK_EQ(engine.stats().protocol_errors, 0u);
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+}
+
+// A shard answers a rejected frame only when it can still matter: a late
+// DONE for a session the shard does not hold is counted but not answered
+// (its sender has moved on), while a ROUND for one is answered.
+TEST(Sharded, LateDoneIsCountedButNotAnswered) {
+  std::mutex mu;  // declared before the engine: its workers use them
+  std::vector<std::uint64_t> answered;
+  ShardedEngine<Item32> engine(1);
+  engine.start([&](std::vector<std::byte> frame) {
+    const std::lock_guard<std::mutex> lk(mu);
+    answered.push_back(v2::peek_session_id(frame));
+  });
+  v2::Frame done;
+  done.type = v2::FrameType::kDone;
+  done.session_id = 5;
+  engine.submit(v2::encode_frame(done));
+  v2::Frame round;
+  round.type = v2::FrameType::kRound;
+  round.session_id = 6;
+  engine.submit(v2::encode_frame(round));
+  // One worker answers in inbox order, so once the ROUND's answer is out,
+  // an answer to the DONE would be too.
+  bool round_answered = false;
+  for (int spin = 0; spin < 20000 && !round_answered; ++spin) {
+    {
+      const std::lock_guard<std::mutex> lk(mu);
+      round_answered = !answered.empty();
+    }
+    if (!round_answered) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  engine.stop();
+  REQUIRE(round_answered);
+  CHECK(answered == std::vector<std::uint64_t>{6});
+  CHECK_EQ(engine.stats().protocol_errors, 2u);
+}
+
+// The id->shard contract both ends rely on: every sub-session id a
+// ShardedClient hands out maps back to its shard through shard_of_session,
+// and owns() accepts exactly the client's K ids -- for seeded bases,
+// including 1 and the largest base whose ids fit in 64 bits. One base
+// further the ids would wrap onto other clients' ids and other shards, so
+// the client refuses it.
+TEST(Sharded, SubSessionIdsNameTheirShard) {
+  for (const std::size_t k : {1u, 2u, 3u, 4u, 7u, 64u}) {
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max() / k;
+    EXPECT_THROW(ShardedClient<Item32>(top + 1, k, BackendId::kRiblt),
+                 std::invalid_argument);
+    std::vector<std::uint64_t> bases = {1, 2, top - 1, top};
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      bases.push_back(1 + derive_seed(61, i) % top);
+    }
+    for (const std::uint64_t base : bases) {
+      const ShardedClient<Item32> client(base, k, BackendId::kRiblt);
+      for (std::size_t s = 0; s < k; ++s) {
+        CHECK_EQ(shard_of_session(client.sub_session_id(s), k), s);
+        CHECK(client.owns(client.sub_session_id(s)));
+      }
+      // The K ids are consecutive, so owns() accepting exactly them means
+      // rejecting the neighbours on both sides.
+      const std::uint64_t lo = client.sub_session_id(0);
+      const std::uint64_t hi = client.sub_session_id(k - 1);
+      CHECK_EQ(hi - lo + 1, k);
+      CHECK(!client.owns(lo - 1));
+      if (hi != std::numeric_limits<std::uint64_t>::max()) {
+        CHECK(!client.owns(hi + 1));
+      }
+    }
+  }
 }
 
 // ISSUE 7 tentpole: churn bypasses the shard mutex. Writer threads hammer
