@@ -70,7 +70,7 @@ RunResult run_churn(std::size_t writers, std::size_t base_n,
   std::mutex fleet_mu;
   std::deque<std::shared_ptr<sync::ShardedClient<U64Symbol>>> live;
   std::atomic<bool> sink_error{false};
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::uint64_t sid = sync::v2::peek_session_id(frame);
     std::shared_ptr<sync::ShardedClient<U64Symbol>> owner;
     {

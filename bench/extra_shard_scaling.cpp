@@ -69,7 +69,7 @@ RunResult run_fleet(std::size_t shards, std::size_t n, std::size_t clients,
 
   // The sink runs on the shard workers: decode there, route replies back.
   std::atomic<bool> sink_error{false};
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::uint64_t sid = sync::v2::peek_session_id(frame);
     const std::size_t c = static_cast<std::size_t>((sid - 1) / shards);
     if (c >= fleet.size()) {

@@ -120,7 +120,7 @@ RunResult run_memory(const Workload& w) {
   auto clients = build_clients(w);
 
   std::atomic<bool> sink_error{false};
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::uint64_t sid = sync::v2::peek_session_id(frame);
     const std::size_t s = static_cast<std::size_t>((sid - 1) / w.shards);
     if (s >= clients.size()) {

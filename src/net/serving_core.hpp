@@ -5,9 +5,11 @@
 // calls in here for the policy:
 //
 //   routing       inbound frames route to the engine via
-//                 v2::peek_session_id + submit(), recording sid ->
-//                 connection so replies find their way back; ADMIN verbs
-//                 are answered on the serving thread.
+//                 v2::peek_session_id + submit(), tagged with their
+//                 connection's key as the owner; the engine addresses every
+//                 frame it emits to its session's owner, so the sink finds
+//                 the connection by that key and the core keeps no session
+//                 table. ADMIN verbs are answered on the serving thread.
 //   backpressure  a shard worker's sink blocks while the destination
 //                 connection's queued output (staged + conduit) sits above
 //                 the high watermark, and resumes when the serving thread
@@ -20,13 +22,13 @@
 //   containment   a frame whose routing prefix cannot be parsed poisons only
 //                 its connection (framing is intact, so it is a hostile or
 //                 broken client, and with no session id there is nobody to
-//                 ERROR); a sid already routed to another connection is a
-//                 hijack, answered here with an ERROR; every other frame
-//                 reaches the engine, whose shard worker answers a rejected
-//                 one (unknown session, bad topology) with an ERROR -- which
-//                 releases the route the frame created -- unless a live
-//                 session holds its id; failures inside an established
-//                 session produce in-band ERROR frames from the engine too.
+//                 ERROR); every other frame reaches the engine, whose shard
+//                 worker answers a rejected one (unknown session, another
+//                 connection's session, bad topology) with an ERROR by the
+//                 engine's one rule (SyncEngine::reject_answer); failures
+//                 inside an established session produce in-band ERROR
+//                 frames from the engine too. A closing connection queues
+//                 the engine's close of every session it owns.
 //
 //   accounting    the transport counters are registry cells (ServerCells),
 //                 bound to SocketServerOptions::metrics or to a private
@@ -36,7 +38,6 @@
 // runs on the server's single serving thread.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -106,14 +107,13 @@ struct SocketServerStats {
   std::uint64_t connections_closed = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  std::uint64_t frames_dropped = 0;   ///< outbound with no live route
-  std::uint64_t protocol_errors = 0;  ///< hijacks, ADMIN errors, poisons
+  std::uint64_t frames_dropped = 0;   ///< outbound for a closed connection
+  std::uint64_t protocol_errors = 0;  ///< ADMIN errors, framing poisons
   std::uint64_t syscalls_read = 0;    ///< read()s (epoll path)
   std::uint64_t syscalls_write = 0;   ///< sendmsg()s (epoll path)
   std::uint64_t syscalls_wait = 0;    ///< epoll_wait()s / io_uring_enter()s
   std::uint64_t wakeups = 0;          ///< cross-thread wakeup syscalls
   std::uint64_t sqe_submits = 0;      ///< SQEs handed to the kernel (uring)
-  std::uint64_t routes = 0;           ///< live sid->connection routes (gauge)
 
   /// Total data-path syscalls (sqe_submits excluded: an SQE is not a
   /// syscall, that is the whole point).
@@ -149,10 +149,9 @@ struct ServerCells {
     frames_out = &m.counter("riblt_server_frames_out_total",
                             "Frames staged for sending", l);
     dropped = &m.counter("riblt_server_frames_dropped_total",
-                         "Outbound frames with no live route", l);
-    protocol_errors = &m.counter(
-        "riblt_server_protocol_errors_total",
-        "Hijacked session ids, ADMIN errors and framing poisons", l);
+                         "Outbound frames for a closed connection", l);
+    protocol_errors = &m.counter("riblt_server_protocol_errors_total",
+                                 "ADMIN errors and framing poisons", l);
     syscalls_read = &m.counter("riblt_server_syscalls_total", syscall_help,
                                op("read"));
     syscalls_write = &m.counter("riblt_server_syscalls_total", syscall_help,
@@ -163,8 +162,6 @@ struct ServerCells {
                          op("wakeup"));
     sqe_submits = &m.counter("riblt_server_sqe_submits_total",
                              "SQEs handed to the kernel (uring)", l);
-    routes = &m.gauge("riblt_server_routes",
-                      "Live session-to-connection routes", l);
     conduit_depth = &m.histogram(
         "riblt_server_conduit_pending_bytes",
         "Bytes queued in a connection's conduit after a flush", l);
@@ -177,9 +174,7 @@ struct ServerCells {
             dropped->load(),       protocol_errors->load(),
             syscalls_read->load(), syscalls_write->load(),
             syscalls_wait->load(), wakeups->load(),
-            sqe_submits->load(),
-            static_cast<std::uint64_t>(
-                std::max<std::int64_t>(0, routes->load()))};
+            sqe_submits->load()};
   }
 
   obs::Counter* accepted = nullptr;
@@ -193,7 +188,6 @@ struct ServerCells {
   obs::Counter* syscalls_wait = nullptr;
   obs::Counter* wakeups = nullptr;
   obs::Counter* sqe_submits = nullptr;
-  obs::Gauge* routes = nullptr;  ///< moved by deltas under conns_mu_
   obs::Histogram* conduit_depth = nullptr;
 };
 
@@ -204,7 +198,7 @@ struct ServingConn {
       : io(fd), key(key_), conduit(max_frame) {}
 
   TcpConn io;
-  const std::uint64_t key;  ///< I/O-loop key / connection-table index
+  const std::uint64_t key;  ///< loop key, table index, its sessions' owner
   FrameConduit conduit;     ///< serving thread only, both directions
 
   std::mutex mu;  ///< guards staged/staged_bytes (sink <-> serving thread)
@@ -253,9 +247,10 @@ class ServingCore {
   template <typename Wake>
   void start(Wake wake) {
     stopping_.store(false, std::memory_order_release);
-    engine_.start([this, wake](std::vector<std::byte> frame) {
-      sink(std::move(frame), wake);
-    });
+    engine_.start(
+        [this, wake](std::uint64_t owner, std::vector<std::byte> frame) {
+          sink(owner, std::move(frame), wake);
+        });
   }
 
   /// First half of stop(): releases every parked sink, then unblocks and
@@ -281,8 +276,6 @@ class ServingCore {
     {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.clear();
-      cells_.routes->add(-static_cast<std::int64_t>(routes_.size()));
-      routes_.clear();
     }
     const std::lock_guard<std::mutex> lk(dirty_mu_);
     dirty_.clear();
@@ -347,41 +340,18 @@ class ServingCore {
       cells_.protocol_errors->inc();
       return false;
     }
-    const auto type = static_cast<std::uint8_t>(frame[0]);
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kAdmin)) {
+    if (frame[0] == static_cast<std::byte>(sync::v2::FrameType::kAdmin)) {
       // Observability verbs are transport-level: answered here on the
       // serving thread, never submitted to the engine (which rejects them)
-      // and never recorded in the reply routes -- the chunked ADMIN_REPLY
-      // rides stage_local back on this same connection, so a scrape works
-      // mid-load from a second connection without touching any session.
+      // -- the chunked ADMIN_REPLY rides stage_local back on this same
+      // connection, so a scrape works mid-load from a second connection
+      // without touching any session.
       handle_admin(conn, sid, frame);
       return true;
     }
-    {
-      // Record the reply route up front: the HELLO_ACK can race out of the
-      // shard worker before submit() returns. A sid already routed to a
-      // DIFFERENT connection is a hijack attempt: reject without touching
-      // the live session.
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto [it, inserted] = routes_.emplace(sid, conn);
-      if (inserted) cells_.routes->add(1);
-      if (!inserted && it->second.get() != conn.get()) {
-        cells_.protocol_errors->inc();
-        stage_local(conn, sync::v2::make_error_frame(
-                              sid, "session belongs to another connection"));
-        return true;
-      }
-    }
     // The prefix parsed, so submit() cannot throw: a frame the engine
     // rejects comes back from its shard worker (see the containment note).
-    engine_.submit(std::move(frame));
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
-        type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
-      // The client ended the session; nothing meaningful flows back. The
-      // engine-side session went terminal on the same frame, so the worker
-      // retires it -- no abort needed.
-      drop_route_if_self(sid, *conn);
-    }
+    engine_.submit(std::move(frame), conn->key);
     return true;
   }
 
@@ -442,13 +412,12 @@ class ServingCore {
   }
 
   /// The close-time orphan step: marks `conn` dead, releases its sinks,
-  /// drops its routes, and aborts the engine side of every session it
-  /// still owned. Without the abort a rateless session stays kActive
-  /// forever, its shard worker spinning out SYMBOLS frames that drop on
-  /// the floor (one disconnect pinned a core and generated ~160k dropped
-  /// frames/sec). A synthetic in-band ERROR is FIFO-correct even when the
-  /// session's HELLO is still queued in the shard inbox -- the worker
-  /// opens the session, then fails and retires it on the very next frame.
+  /// and queues the engine's close of every session the connection owns.
+  /// Without it a rateless session stays kActive forever, its shard worker
+  /// spinning out SYMBOLS frames that drop on the floor (one disconnect
+  /// pinned a core and generated ~160k dropped frames/sec). The close
+  /// queues behind the frames the connection already submitted, so a HELLO
+  /// still in a shard inbox opens its session and then retires it.
   void orphan(Conn& conn) {
     {
       // Under the conn mutex so a sink mid-wait-entry cannot miss the dead
@@ -457,52 +426,21 @@ class ServingCore {
       conn.dead.store(true, std::memory_order_release);
     }
     conn.cv.notify_all();
-    std::vector<std::uint64_t> orphaned;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto it = routes_.begin(); it != routes_.end();) {
-        if (it->second.get() == &conn) {
-          orphaned.push_back(it->first);
-          it = routes_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      cells_.routes->add(-static_cast<std::int64_t>(orphaned.size()));
-    }
-    for (const std::uint64_t sid : orphaned) {
-      engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-    }
+    engine_.close_owner(conn.key);
   }
 
  private:
-  /// Delivery callback running on the shard workers. Blocking here is the
+  /// Delivery callback running on the shard workers: `owner` is the key of
+  /// the connection the frame is addressed to. Blocking here is the
   /// designed backpressure: the worker stops pumping this shard's sessions
-  /// until the peer's socket drains. An ERROR ends its session on the
-  /// engine side (contained failure, idle reap, cap eviction, rejected
-  /// frame), so it drops the session's route -- before staging, so a peer
-  /// that reads the ERROR and disconnects finds no route left to abort.
+  /// until the peer's socket drains.
   template <typename Wake>
-  void sink(std::vector<std::byte> frame, const Wake& wake) {
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      cells_.dropped->inc();
-      return;  // engine frames are well-formed; defensive only
-    }
-    ConnPtr conn;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto it = routes_.find(sid);
-      if (it != routes_.end()) conn = it->second;
-    }
+  void sink(std::uint64_t owner, std::vector<std::byte> frame,
+            const Wake& wake) {
+    const ConnPtr conn = conn_of(owner);
     if (!conn) {
       cells_.dropped->inc();
-      return;  // peer disconnected (or finished) mid-stream
-    }
-    if (frame[0] == static_cast<std::byte>(sync::v2::FrameType::kError)) {
-      drop_route_if_self(sid, *conn);
+      return;  // the connection closed mid-stream
     }
     {
       std::unique_lock<std::mutex> lk(conn->mu);
@@ -524,7 +462,7 @@ class ServingCore {
       if (!woke) {
         // The peer sat above the high watermark for the whole timeout: it
         // stopped reading. Doom the connection and move on -- the serving
-        // thread closes it (which aborts its sessions in-band), and this
+        // thread closes it (which closes the sessions it owns), and this
         // worker is free to serve the shard's other sessions again.
         lk.unlock();
         conn->doomed.store(true, std::memory_order_release);
@@ -567,7 +505,7 @@ class ServingCore {
     }
   }
 
-  /// Stages a serving-thread-generated frame (ERROR and ADMIN replies)
+  /// Stages a serving-thread-generated frame (an ADMIN reply or its ERROR)
   /// onto `conn`, bypassing the sink watermark: these must get out even
   /// when the peer is backpressured. Delivery rides the next drain_dirty()
   /// sweep -- flushing inline could close the conn in the middle of its
@@ -580,15 +518,6 @@ class ServingCore {
     }
     cells_.frames_out->inc();
     mark_dirty(conn);
-  }
-
-  void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) {
-      routes_.erase(it);
-      cells_.routes->add(-1);
-    }
   }
 
   /// Answers one ADMIN verb in-band through the shared dispatcher (a
@@ -611,7 +540,6 @@ class ServingCore {
 
   mutable std::mutex conns_mu_;
   std::unordered_map<std::uint64_t, ConnPtr> conns_;
-  std::unordered_map<std::uint64_t, ConnPtr> routes_;  ///< sid -> conn
 
   std::mutex dirty_mu_;
   std::vector<ConnPtr> dirty_;  ///< staged-but-undrained conns

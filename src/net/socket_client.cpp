@@ -48,7 +48,9 @@ std::optional<std::vector<std::byte>> SocketClient::recv_frame(
                         std::chrono::duration<double>(timeout_s);
   for (;;) {
     if (auto frame = conduit_.next_frame()) return frame;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+    // Rounded up: a truncated wait returns before the deadline, and a
+    // sub-millisecond timeout would not wait at all.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
     if (left.count() <= 0) return std::nullopt;
     if (!wait_readable(conn_.fd(), static_cast<int>(left.count()))) {

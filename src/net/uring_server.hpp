@@ -422,8 +422,8 @@ class UringServer {
 
   // ------------------------------------------------------------ close path
 
-  /// First half of closing: stop the session (routes dropped, engine
-  /// aborted, sinks released, socket shutdown so in-flight ops error out).
+  /// First half of closing: stop the sessions (engine close queued, sinks
+  /// released, socket shutdown so in-flight ops error out).
   /// The Conn stays in the core's table until its last op completes -- the
   /// kernel still owns references into its buffers.
   void begin_close(const ConnPtr& conn) {

@@ -42,9 +42,17 @@
 // per-session failure, or the client aborting a session whose decoder hit
 // a dead end -- without disturbing other sessions.
 //
+// Owners: every session records the opaque `owner` tag its HELLO arrived
+// with -- a connection key on a socket server, a peer id in Replica, 0 for
+// in-memory callers. A frame from any other owner is rejected before it
+// touches the session, handle_frame answers only its sender, and every
+// other frame the engine emits is addressed to its session's owner, so no
+// transport keeps a session table of its own.
+//
 // Error containment: frames that cannot be attributed to a healthy session
-// (garbage, unknown/zero session ids, duplicate HELLOs, failed
-// negotiation) throw ProtocolError to the transport that delivered them.
+// of their sender (garbage, unknown/zero session ids, duplicate HELLOs,
+// another owner's session id, failed negotiation) throw ProtocolError to
+// the transport that delivered them, which answers by reject_answer().
 // Failures *inside* an established session (a backend rejecting a round
 // request, a malformed SYMBOLS/ROUND payload, a codec that cannot extend
 // further) mark only that session kFailed on both ends and produce an
@@ -252,6 +260,7 @@ enum class SessionState : std::uint8_t {
 /// Per-session byte/round accounting and outcome.
 struct SessionStats {
   SessionState state = SessionState::kActive;
+  std::uint64_t owner = 0;            ///< transport tag of the HELLO's sender
   BackendId backend{};
   std::uint8_t checksum_len = 8;
   std::uint64_t bytes_to_peer = 0;    ///< SYMBOLS frame bytes emitted
@@ -301,6 +310,9 @@ struct EngineOptions {
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
+
+/// A frame the engine emits, paired with the owner it is addressed to.
+using OwnedFrame = std::pair<std::uint64_t, std::vector<std::byte>>;
 
 /// Whole-engine accounting, read back from the engine's cells. Lifetime
 /// totals: a session counts in `sessions` from its HELLO and in `done` or
@@ -568,22 +580,22 @@ class SyncEngine {
     return index_.contains(hs);
   }
 
-  /// Feeds one client->server frame. Returns the server->client frames to
-  /// send back (HELLO_ACK on session open, ERROR on contained failures;
+  /// Feeds one client->server frame from `owner` (the sender's transport
+  /// tag; see the owner contract above). Returns the frames to send back to
+  /// that sender (HELLO_ACK on session open, ERROR on contained failures;
   /// often empty). Throws ProtocolError on frames that cannot be attributed
-  /// to a healthy session -- see the containment contract above.
+  /// to a healthy session of the sender -- see the containment contract.
   std::vector<std::vector<std::byte>> handle_frame(
-      std::span<const std::byte> data) {
+      std::span<const std::byte> data, std::uint64_t owner = 0) {
     const v2::Frame frame = v2::parse_frame(data);
     std::vector<std::vector<std::byte>> out;
     switch (frame.type) {
       case v2::FrameType::kHello: {
-        if (sessions_.count(frame.session_id) != 0) {
-          throw ProtocolError("duplicate HELLO for session");
-        }
-        if (sessions_.size() >= options_.max_sessions &&
-            !shed_one(out)) {
-          throw ProtocolError("session limit reached");
+        if (const auto it = sessions_.find(frame.session_id);
+            it != sessions_.end()) {
+          throw ProtocolError(it->second.stats.owner == owner
+                                  ? "duplicate HELLO for session"
+                                  : kForeignOwner);
         }
         if (frame.item_size != static_cast<std::uint32_t>(T::kSize)) {
           throw ProtocolError("item size mismatch");
@@ -661,6 +673,7 @@ class SyncEngine {
             session.encoder->add_hashed_item(hs);
           });
         }
+        session.stats.owner = owner;
         session.stats.backend = backend;
         session.stats.checksum_len = effective;
         session.stats.bytes_from_peer = data.size();
@@ -668,9 +681,16 @@ class SyncEngine {
         session.stats.d_estimate = d_est;
         session.stats.pace_cap = pace_cap;
         session.peer_id = adaptive ? frame.peer_id : 0;
+        // Shed only once the HELLO has passed every check, building its
+        // session included: a rejected HELLO must not cost a live session
+        // its slot. The journal prune waits until the new cursor is in the
+        // table, so it cannot drop churn ops the cursor still needs.
+        const bool shed = sessions_.size() >= options_.max_sessions;
+        if (shed && !shed_one()) throw ProtocolError("session limit reached");
         const double opened_at = now_s();
         session.last_activity = opened_at;
         sessions_.emplace(frame.session_id, std::move(session));
+        if (shed) prune_cache_journal(/*force=*/true);
         cells_.backend(backend).opened->inc();
         trace(obs::TraceKind::kOpen, frame.session_id, backend, d_est,
               pace_cap, opened_at);
@@ -688,7 +708,7 @@ class SyncEngine {
         return out;
       }
       case v2::FrameType::kRound: {
-        Session& session = established(frame.session_id, data.size());
+        Session& session = established(frame.session_id, data.size(), owner);
         // Any inbound frame proves the peer is still consuming: reopen the
         // pacing runway from the current emission position.
         session.pace_mark = session.stats.bytes_to_peer;
@@ -724,7 +744,7 @@ class SyncEngine {
         return out;
       }
       case v2::FrameType::kDone: {
-        Session& session = established(frame.session_id, data.size());
+        Session& session = established(frame.session_id, data.size(), owner);
         session.pace_mark = session.stats.bytes_to_peer;
         if (session.stats.state == SessionState::kActive) {
           session.stats.done_value = frame.value;
@@ -743,7 +763,7 @@ class SyncEngine {
       case v2::FrameType::kError: {
         // The client aborted its side (e.g. its decoder hit a data-path
         // dead end); contain it to this session.
-        Session& session = established(frame.session_id, data.size());
+        Session& session = established(frame.session_id, data.size(), owner);
         if (session.stats.state == SessionState::kActive) {
           session.stats.error = "peer abort: " + v2::error_text(frame);
           settle(session, SessionState::kFailed);
@@ -869,20 +889,55 @@ class SyncEngine {
     return true;
   }
 
-  /// Fails and reclaims every ACTIVE session whose last inbound frame is
-  /// older than the engine's idle deadline (a peer that said HELLO and
-  /// vanished mid-handshake would otherwise hold its slot -- and its
-  /// snapshot's journal floor -- forever). Returns (session id, ERROR
-  /// frame) pairs for the transport to deliver before dropping its routes.
-  /// No-op (empty) when EngineOptions::idle_deadline_s is 0.
-  std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> reap_idle() {
+  /// Retires every session `owner` opened (its transport went away);
+  /// active ones count as failed, as in close_session. Returns how many.
+  std::size_t close_owner(std::uint64_t owner) {
+    std::size_t closed = 0;
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      if (it->second.stats.owner == owner) {
+        retire(it++);
+        ++closed;
+      } else {
+        ++it;
+      }
+    }
+    if (closed != 0) prune_cache_journal(/*force=*/true);
+    return closed;
+  }
+
+  /// The one rule for answering a frame that handle_frame(data, owner)
+  /// rejected with `reason`: an ERROR back to the sender, unless the frame
+  /// is a DONE or ERROR (its sender has moved on) or the sender itself
+  /// holds a session with its id (a duplicate HELLO: an ERROR would end the
+  /// sender's live session on its side). `data` must carry a routing
+  /// prefix that v2::peek_session_id accepts.
+  [[nodiscard]] std::optional<std::vector<std::byte>> reject_answer(
+      std::span<const std::byte> data, std::uint64_t owner,
+      const std::string& reason) const {
+    const std::uint64_t sid = v2::peek_session_id(data);
+    const auto type = static_cast<v2::FrameType>(data[0]);
+    const auto it = sessions_.find(sid);
+    if (type == v2::FrameType::kDone || type == v2::FrameType::kError ||
+        (it != sessions_.end() && it->second.stats.owner == owner)) {
+      return std::nullopt;
+    }
+    return v2::make_error_frame(sid, reason);
+  }
+
+  /// The one drain for the ERRORs the engine starts on its own, each paired
+  /// with its session's owner: the cap evictions since the last drain, then
+  /// every ACTIVE session whose last inbound frame is older than the idle
+  /// deadline, failed and reclaimed (a peer that said HELLO and vanished
+  /// mid-handshake would otherwise hold its slot -- and its snapshot's
+  /// journal floor -- forever). Reaping is off when
+  /// EngineOptions::idle_deadline_s is 0.
+  std::vector<OwnedFrame> reap_idle() {
     return reap_idle(options_.idle_deadline_s);
   }
 
-  /// Same sweep against an explicit deadline (seconds of allowed silence).
-  std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> reap_idle(
-      double deadline_s) {
-    std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> reaped;
+  /// Same drain against an explicit deadline (seconds of allowed silence).
+  std::vector<OwnedFrame> reap_idle(double deadline_s) {
+    std::vector<OwnedFrame> reaped = std::exchange(evicted_, {});
     if (deadline_s <= 0 || sessions_.empty()) return reaped;
     const double now = now_s();
     for (auto it = sessions_.begin(); it != sessions_.end();) {
@@ -891,7 +946,7 @@ class SyncEngine {
           now - s.last_activity > deadline_s) {
         s.stats.error = "idle session reaped";
         settle(s, SessionState::kFailed);
-        reaped.emplace_back(it->first,
+        reaped.emplace_back(s.stats.owner,
                             v2::make_error_frame(it->first, s.stats.error));
         cells_.reaped->inc();
         trace(obs::TraceKind::kReap, it->first, s.stats.backend,
@@ -929,6 +984,9 @@ class SyncEngine {
   }
 
  private:
+  static constexpr const char* kForeignOwner =
+      "session belongs to another connection";
+
   struct Session {
     std::unique_ptr<ReconcilerEncoder<T>> encoder;
     /// Non-owning view of `encoder` when it is the rateless cursor backend;
@@ -985,15 +1043,19 @@ class SyncEngine {
     return merged;
   }
 
-  /// The session an inbound frame of `frame_bytes` belongs to. Its bytes
-  /// join the session's sum, or -- once the session has settled -- go
-  /// straight to the cell, so stale frames still count exactly once.
-  Session& established(std::uint64_t id, std::size_t frame_bytes) {
+  /// The session an inbound frame of `frame_bytes` from `owner` belongs
+  /// to. Its bytes join the session's sum, or -- once the session has
+  /// settled -- go straight to the cell, so stale frames still count
+  /// exactly once. Another owner's frame is rejected before it touches
+  /// anything of the session.
+  Session& established(std::uint64_t id, std::size_t frame_bytes,
+                       std::uint64_t owner) {
     auto it = sessions_.find(id);
     if (it == sessions_.end()) {
       throw ProtocolError("unknown session id");
     }
     Session& session = it->second;
+    if (session.stats.owner != owner) throw ProtocolError(kForeignOwner);
     session.stats.bytes_from_peer += frame_bytes;
     if (session.stats.state != SessionState::kActive) {
       cells_.bytes_from_peers->inc(frame_bytes);
@@ -1084,14 +1146,14 @@ class SyncEngine {
 
   /// Graceful shedding at the session cap: prefer reclaiming a slot nobody
   /// will miss (any already-terminal session retires silently); with every
-  /// slot active, evict the one idle the longest -- it gets an ERROR frame
-  /// so its peer learns the session died rather than waiting on silence.
-  /// False only when there is nothing to shed (max_sessions == 0).
-  bool shed_one(std::vector<std::vector<std::byte>>& out) {
+  /// slot active, evict the one idle the longest -- its ERROR frame waits in
+  /// the reap_idle() drain for its owner, so its peer learns the session
+  /// died rather than waiting on silence. False only when there is nothing
+  /// to shed (max_sessions == 0). The caller prunes the journal.
+  bool shed_one() {
     for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
       if (it->second.stats.state != SessionState::kActive) {
         retire(it);
-        prune_cache_journal(/*force=*/true);
         return true;
       }
     }
@@ -1105,13 +1167,13 @@ class SyncEngine {
     if (victim == sessions_.end()) return false;
     victim->second.stats.error = "evicted at session cap";
     settle(victim->second, SessionState::kFailed);
-    out.push_back(
+    evicted_.emplace_back(
+        victim->second.stats.owner,
         v2::make_error_frame(victim->first, victim->second.stats.error));
     cells_.evicted->inc();
     trace(obs::TraceKind::kEvict, victim->first,
           victim->second.stats.backend, victim->second.stats.bytes_to_peer);
     retire(victim);
-    prune_cache_journal(/*force=*/true);
     return true;
   }
 
@@ -1169,6 +1231,7 @@ class SyncEngine {
   std::size_t journal_size_at_prune_ = 0;  ///< rescan throttle
   std::int64_t journal_reported_ = 0;  ///< depth last added to the gauge
   std::map<std::uint64_t, Session> sessions_;
+  std::vector<OwnedFrame> evicted_;  ///< eviction ERRORs awaiting reap_idle()
   std::vector<std::unique_ptr<ProbeLane>> probe_lanes_;
   adaptive::PeerEwma peer_ewma_;  ///< per-peer diff history (adaptive)
   std::uint64_t obs_cpu_sample_ = 0;  ///< 1-in-8 serve-CPU sampling phase

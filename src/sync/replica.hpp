@@ -20,9 +20,11 @@
 //     session_deadline_s is aborted (ERROR to the server so it reclaims
 //     its side) and rescheduled through the backoff path -- a stuck
 //     exchange can delay a peer, never wedge the replica.
-//   * serving-side hygiene rides the engine: reap_idle() reclaims
-//     abandoned inbound sessions each tick, and every reclaimed/terminal
-//     session's route is dropped so nothing leaks.
+//   * serving-side hygiene rides the engine: each serving session records
+//     the peer that opened it as its owner, so the engine rejects another
+//     peer's frames for it, reap_idle() hands back each reclaimed
+//     session's ERROR with its peer, and a dead link closes every session
+//     its peer owns (close_owner) -- the replica keeps no session table.
 //   * adaptive reuse: successive rounds against the same peer carry the
 //     stable replica id, so the server's per-peer EWMA (sync/adaptive.hpp)
 //     prices d^ from history and each steady-state round costs O(d), not
@@ -248,9 +250,10 @@ class Replica {
 
   /// Feeds one frame that arrived from `peer_id`. Routes by frame type:
   /// server-bound types go to the engine (serving side), client-bound
-  /// types to the peer's in-flight round; ERROR frames go to whichever
-  /// side owns the session id. Unattributable frames are dropped (stale
-  /// traffic from before a crash/abort is normal, not an error).
+  /// types to the peer's in-flight round; an ERROR goes to the round when
+  /// it names the round's id, else to the engine. The engine answers a
+  /// frame it rejects by its one rule (SyncEngine::reject_answer); stale
+  /// traffic from before a crash/abort is normal, not an error.
   void deliver(std::uint64_t peer_id, std::span<const std::byte> frame,
                double now) {
     advance(now);
@@ -276,7 +279,7 @@ class Replica {
       case v2::FrameType::kError:
         if (peer.client && peer.client->session_id() == sid) {
           client_frame(peer, sid, frame);
-        } else if (serving_.count(sid) != 0) {
+        } else {
           serve_frame(peer, sid, frame);
         }
         break;
@@ -297,9 +300,7 @@ class Replica {
   void tick(double now) {
     advance(now);
     reap_serving();
-    for (auto& [sid, peer_id] : snapshot_serving()) {
-      pump_serving(sid, peer_id);
-    }
+    for (const std::uint64_t sid : engine_->session_ids()) pump_serving(sid);
     for (auto& [id, peer] : peers_) {
       step_client(peer);
     }
@@ -316,24 +317,11 @@ class Replica {
     if (peer.client) {
       abort_round(peer, "link down", /*notify_server=*/false);
     }
-    std::vector<std::uint64_t> owned;
-    for (const auto& [sid, pid] : serving_) {
-      if (pid == peer_id) owned.push_back(sid);
-    }
-    for (const std::uint64_t sid : owned) {
-      // Synthetic in-band abort, same pattern as the socket servers: the
-      // engine fails + the worker-equivalent below retires the session.
-      try {
-        (void)engine_->handle_frame(v2::make_error_frame(sid, "peer link down"));
-      } catch (const ProtocolError&) {
-      }
-      (void)engine_->close_session(sid);
-      serving_.erase(sid);
-    }
+    (void)engine_->close_owner(peer_id);
   }
 
-  /// Crash + restart in place: every session (both directions) and route
-  /// is dropped, in-flight rounds are abandoned, backoffs reset, and the
+  /// Crash + restart in place: every session (both directions) is
+  /// dropped, in-flight rounds are abandoned, backoffs reset, and the
   /// session-id namespace advances an epoch so post-restart sessions can
   /// never collide with pre-crash ones still buffered in the network. The
   /// item set survives (the surviving on-disk set the replica rebuilds
@@ -343,7 +331,6 @@ class Replica {
     for (const std::uint64_t sid : engine_->session_ids()) {
       (void)engine_->close_session(sid);
     }
-    serving_.clear();
     ++epoch_;
     restarts_->inc();
     for (auto& [id, peer] : peers_) {
@@ -457,61 +444,35 @@ class Replica {
 
   void serve_frame(Peer& peer, std::uint64_t sid,
                    std::span<const std::byte> frame) {
-    const auto route = serving_.find(sid);
-    if (route != serving_.end() && route->second != peer.id) {
-      // Hijack guard, same contract as the socket servers' route check.
-      (void)send_to(peer, v2::make_error_frame(
-                              sid, "session belongs to another peer"));
-      return;
-    }
     std::vector<std::vector<std::byte>> replies;
     try {
-      replies = engine_->handle_frame(frame);
+      replies = engine_->handle_frame(frame, peer.id);
     } catch (const ProtocolError& e) {
-      // Unattributable on the engine (unknown/stale session, bad
-      // topology): tell the peer in-band and drop any recording.
-      (void)send_to(peer, v2::make_error_frame(sid, e.what()));
+      // Unattributable on the engine (unknown/stale session, another
+      // peer's session, bad topology).
+      if (auto answer = engine_->reject_answer(frame, peer.id, e.what())) {
+        (void)send_to(peer, std::move(*answer));
+      }
       return;
     }
-    serving_[sid] = peer.id;
     for (auto& reply : replies) {
-      // Shedding can emit ERROR frames for OTHER sids (evicted sessions):
-      // route each reply by its own id.
-      std::uint64_t reply_sid = sid;
-      try {
-        reply_sid = v2::peek_session_id(reply);
-      } catch (const ProtocolError&) {
-      }
-      const auto owner = serving_.find(reply_sid);
-      Peer* target = &peer;
-      if (owner != serving_.end()) {
-        const auto po = peers_.find(owner->second);
-        if (po != peers_.end()) target = &po->second;
-      }
-      if (reply_sid != sid) serving_.erase(reply_sid);  // evicted: retired
-      if (!send_to(*target, std::move(reply))) return;
+      if (!send_to(peer, std::move(reply))) return;
     }
-    pump_serving(sid, peer.id);
+    pump_serving(sid);
   }
 
-  /// Streams up to serve_budget frames for one serving session; retires
-  /// the session (and its route) once terminal.
-  void pump_serving(std::uint64_t sid, std::uint64_t peer_id) {
-    const auto it = serving_.find(sid);
-    if (it == serving_.end()) return;
-    const auto po = peers_.find(peer_id);
-    if (po == peers_.end()) return;
-    Peer& peer = po->second;
+  /// Streams up to serve_budget frames for one serving session to the peer
+  /// that owns it; retires the session once terminal.
+  void pump_serving(std::uint64_t sid) {
     const SessionStats* stats = engine_->session(sid);
-    if (stats == nullptr) {
-      serving_.erase(sid);
-      return;
-    }
+    if (stats == nullptr) return;
     if (stats->state != SessionState::kActive) {
       (void)engine_->close_session(sid);
-      serving_.erase(sid);
       return;
     }
+    const auto po = peers_.find(stats->owner);
+    if (po == peers_.end()) return;
+    Peer& peer = po->second;
     for (std::size_t i = 0; i < options_.serve_budget; ++i) {
       if (!peer_ready(peer)) return;  // gate BEFORE encoding: no drops
       auto frame = engine_->next_frame(sid);
@@ -526,22 +487,13 @@ class Replica {
     }
   }
 
+  /// Delivers the engine's own ERRORs (cap evictions, idle reaps) to the
+  /// peers that owned their sessions.
   void reap_serving() {
-    for (auto& [sid, frame] : engine_->reap_idle()) {
-      const auto it = serving_.find(sid);
-      if (it != serving_.end()) {
-        const auto po = peers_.find(it->second);
-        serving_.erase(it);
-        if (po != peers_.end()) {
-          (void)send_to(po->second, std::move(frame));
-        }
-      }
+    for (auto& [owner, frame] : engine_->reap_idle()) {
+      const auto po = peers_.find(owner);
+      if (po != peers_.end()) (void)send_to(po->second, std::move(frame));
     }
-  }
-
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  snapshot_serving() const {
-    return {serving_.begin(), serving_.end()};
   }
 
   /// Answers one in-band ADMIN verb over the peer's link (the replica's
@@ -667,7 +619,6 @@ class Replica {
   obs::MetricsRegistry* metrics_ = nullptr;  ///< the caller's or own_metrics_
   std::unique_ptr<SyncEngine<T, Hasher>> engine_;
   std::map<std::uint64_t, Peer> peers_;       ///< deterministic iteration
-  std::map<std::uint64_t, std::uint64_t> serving_;  ///< sid -> peer id
   double now_ = 0;
   bool paused_ = false;
   std::uint64_t epoch_ = 0;  ///< bumped per restart (sid namespace)

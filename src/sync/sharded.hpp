@@ -17,17 +17,19 @@
 // v2::peek_session_id (no payload copy) and keeps no table. A sharded
 // HELLO still carries (shard_index, shard_count) behind v2::kFlagSharded
 // as the consistency check: the shard engine rejects one whose fields
-// disagree with the shard it reached before symbols flow. Topology,
+// disagree with the shard it reached before symbols flow. Topology, owner,
 // duplicate and unknown-session verdicts all belong to the shard engines.
 //
 // Threaded serving: start() launches one worker per shard, each owning its
-// engine behind the shard mutex with an inbox of raw frames. A worker
+// engine behind the shard mutex with an inbox of (owner, frame) pairs, the
+// owner being the sender's transport tag (sync/engine.hpp). A worker
 // drains its inbox, then pumps one SYMBOLS frame per active session per
-// round, handing output to the sink *outside* the shard lock (so a sink
-// may call submit() -- even back into the same shard -- without deadlock).
-// A blocking sink is the backpressure: the worker streams as fast as the
-// sink accepts, which is the paper's serve-at-line-rate model. The worker
-// is also the one place that answers a rejected frame (see worker()). Set
+// round, handing output with its session's owner to the sink *outside* the
+// shard lock (so a sink may call submit() -- even back into the same shard
+// -- without deadlock). A blocking sink is the backpressure: the worker
+// streams as fast as the sink accepts, which is the paper's
+// serve-at-line-rate model. The worker answers a rejected frame by the
+// engine's one rule (SyncEngine::reject_answer). Set
 // churn (add_item/remove_item/contains/item_count) bypasses the shard mutex
 // entirely -- SyncEngine's ingest surface is internally synchronized
 // (striped index, lock-free cache churn, per-lane probes), so any number
@@ -92,8 +94,9 @@ class ShardedEngine {
  public:
   /// Delivery callback for threaded serving; invoked concurrently from the
   /// shard workers (one frame at a time per shard), never under a shard
-  /// lock. Frames carry their session id; block to apply backpressure.
-  using Sink = std::function<void(std::vector<std::byte> frame)>;
+  /// lock, with the owner the frame is addressed to; block to apply
+  /// backpressure.
+  using Sink = std::function<void(std::uint64_t owner, std::vector<std::byte>)>;
 
   explicit ShardedEngine(std::size_t shard_count, Hasher hasher = Hasher{},
                          EngineOptions options = EngineOptions{})
@@ -127,9 +130,9 @@ class ShardedEngine {
         "Frames drained per shard worker wakeup (non-empty drains)");
     protocol_errors_ = &m.counter(
         "riblt_shard_protocol_errors_total",
-        "Frames the shard engines rejected, plus failed sink calls; a "
-        "reject is answered with an ERROR only when no live session holds "
-        "its id and it is not itself a DONE or ERROR");
+        "Frames the shard engines rejected (hijacked session ids included), "
+        "plus failed sink calls; a reject is answered with an ERROR unless "
+        "it is a DONE or ERROR or its sender holds a session with its id");
   }
 
   ~ShardedEngine() { stop(); }
@@ -240,18 +243,22 @@ class ShardedEngine {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Enqueues one raw client frame for the worker of the shard its session
-  /// id names. Thread-safe. Throws ProtocolError only on a frame whose
-  /// routing prefix does not parse; every other verdict (unknown session,
-  /// duplicate HELLO, bad topology) is the shard engine's, counted and
-  /// answered by its worker.
-  void submit(std::vector<std::byte> frame) {
+  /// Enqueues one raw client frame from `owner` for the worker of the shard
+  /// its session id names. Thread-safe. Throws ProtocolError only on a
+  /// frame whose routing prefix does not parse; every other verdict
+  /// (unknown session, another owner's session, duplicate HELLO, bad
+  /// topology) is the shard engine's, counted and answered by its worker.
+  void submit(std::vector<std::byte> frame, std::uint64_t owner = 0) {
     Shard& sh = shard_for(v2::peek_session_id(frame));
-    {
-      const std::lock_guard<std::mutex> lk(sh.mu);
-      sh.inbox.push_back(std::move(frame));
-    }
-    sh.cv.notify_one();
+    enqueue(sh, owner, std::move(frame));
+  }
+
+  /// Queues SyncEngine::close_owner(owner) on every shard, behind the frames
+  /// `owner` already submitted (its transport is gone): each shard retires
+  /// the sessions that owner opened, counting active ones as failed.
+  /// Thread-safe.
+  void close_owner(std::uint64_t owner) {
+    for (auto& sh : shards_) enqueue(*sh, owner, {});
   }
 
   /// Typed read of the shards' shared cells (EngineCells::totals) plus
@@ -273,7 +280,9 @@ class ShardedEngine {
     SyncEngine<T, Hasher> engine;
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<std::byte>> inbox;
+    /// (owner, frame); an empty frame -- which submit() never queues, the
+    /// routing peek rejects it -- is close_owner's marker.
+    std::deque<OwnedFrame> inbox;
     bool stop = false;
     std::thread thread;
   };
@@ -282,9 +291,17 @@ class ShardedEngine {
     return *shards_[shard_of_session(session_id, shards_.size())];
   }
 
+  void enqueue(Shard& sh, std::uint64_t owner, std::vector<std::byte> frame) {
+    {
+      const std::lock_guard<std::mutex> lk(sh.mu);
+      sh.inbox.emplace_back(owner, std::move(frame));
+    }
+    sh.cv.notify_one();
+  }
+
   void worker(Shard& sh) {
-    std::vector<std::vector<std::byte>> outgoing;
-    std::deque<std::vector<std::byte>> batch;
+    std::vector<OwnedFrame> outgoing;
+    std::deque<OwnedFrame> batch;
     bool streaming = false;
     for (;;) {
       {
@@ -306,32 +323,29 @@ class ShardedEngine {
         // Empty drains (maintenance ticks, streaming rounds) are skipped
         // so the histogram reflects queueing, not the wakeup cadence.
         if (!batch.empty()) inbox_depth_->record(batch.size());
-        for (const auto& frame : batch) {
+        for (const auto& [owner, frame] : batch) {
+          if (frame.empty()) {
+            (void)sh.engine.close_owner(owner);
+            continue;
+          }
           try {
-            for (auto& reply : sh.engine.handle_frame(frame)) {
-              outgoing.push_back(std::move(reply));
+            for (auto& reply : sh.engine.handle_frame(frame, owner)) {
+              outgoing.emplace_back(owner, std::move(reply));
             }
           } catch (const ProtocolError& e) {
-            // No transport to throw to on the worker: count every reject,
-            // and answer in-band (which releases the frame's reply route)
-            // only when no session here holds the id -- a duplicate HELLO
-            // must not end the live session's route -- and the frame is
-            // not a DONE or ERROR, whose sender has already moved on.
+            // No transport to throw to on the worker: count every reject
+            // and answer it by the engine's one rule.
             protocol_errors_->inc();
-            const std::uint64_t sid = v2::peek_session_id(frame);
-            const auto type = static_cast<v2::FrameType>(frame[0]);
-            if (sh.engine.session(sid) == nullptr &&
-                type != v2::FrameType::kDone && type != v2::FrameType::kError) {
-              outgoing.push_back(v2::make_error_frame(sid, e.what()));
+            if (auto answer = sh.engine.reject_answer(frame, owner, e.what())) {
+              outgoing.emplace_back(owner, std::move(*answer));
             }
           }
         }
-        // Reap sessions whose peers went silent past the idle deadline:
-        // the engine fails + retires them and hands back ERROR frames,
-        // which go to the sink like any reply so the (possibly half-dead)
-        // peer hears why its session died.
+        // The engine's own ERRORs -- cap evictions, and sessions reaped
+        // past the idle deadline -- go to the sink like any reply, so the
+        // (possibly half-dead) peer hears why its session died.
         for (auto& reaped : sh.engine.reap_idle()) {
-          outgoing.push_back(std::move(reaped.second));
+          outgoing.push_back(std::move(reaped));
         }
         // One frame per active session per round keeps sessions fair and
         // bounds how far the server runs ahead of in-flight DONEs.
@@ -339,13 +353,13 @@ class ShardedEngine {
         // long-running server neither re-scans dead sessions every round
         // nor runs into the max_sessions cap from sessions long finished.
         for (const std::uint64_t sid : sh.engine.session_ids()) {
-          const SessionStats* stats = sh.engine.session(sid);
-          if (stats != nullptr && stats->state != SessionState::kActive) {
+          const SessionStats& stats = *sh.engine.session(sid);
+          if (stats.state != SessionState::kActive) {
             (void)sh.engine.close_session(sid);
             continue;
           }
           if (auto frame = sh.engine.next_frame(sid)) {
-            outgoing.push_back(std::move(*frame));
+            outgoing.emplace_back(stats.owner, std::move(*frame));
           }
         }
         streaming = !outgoing.empty();
@@ -354,9 +368,9 @@ class ShardedEngine {
       // submit() -- even into this shard -- without deadlocking. A sink
       // that throws is contained per frame and counted, not allowed to
       // escape the thread entry point and terminate the process.
-      for (auto& frame : outgoing) {
+      for (auto& [owner, frame] : outgoing) {
         try {
-          sink_(std::move(frame));
+          sink_(owner, std::move(frame));
         } catch (const std::exception&) {
           protocol_errors_->inc();
         }

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sync/engine.hpp"
@@ -1012,24 +1015,30 @@ TEST(Engine, SessionLimitShedsOldestIdleInsteadOfRejecting) {
   SyncEngine<U64Symbol> engine({}, options);
   engine.add_item(U64Symbol::random(1));
 
+  // Each session has its own owner (the transport tag of its sender).
   SyncClient<U64Symbol> first(1, BackendId::kRiblt);
-  (void)engine.handle_frame(first.hello());
+  (void)engine.handle_frame(first.hello(), /*owner=*/101);
   now = 1.0;
   SyncClient<U64Symbol> second(2, BackendId::kRiblt);
-  (void)engine.handle_frame(second.hello());
+  (void)engine.handle_frame(second.hello(), /*owner=*/102);
   CHECK_EQ(engine.session_count(), 2u);
 
   // At the cap, a new HELLO evicts the ACTIVE session idle the longest
-  // (session 1): the replies carry its ERROR frame plus the HELLO_ACK.
+  // (session 1): the sender hears only its HELLO_ACK, and session 1's
+  // ERROR waits in the engine's drain, addressed to session 1's owner.
   now = 2.0;
   SyncClient<U64Symbol> third(3, BackendId::kRiblt);
-  const auto replies = engine.handle_frame(third.hello());
-  REQUIRE_EQ(replies.size(), 2u);
+  const auto replies = engine.handle_frame(third.hello(), /*owner=*/103);
+  REQUIRE_EQ(replies.size(), 1u);
   CHECK_EQ(static_cast<std::uint8_t>(replies[0][0]),
-           static_cast<std::uint8_t>(v2::FrameType::kError));
-  CHECK_EQ(v2::peek_session_id(replies[0]), 1u);
-  CHECK_EQ(static_cast<std::uint8_t>(replies[1][0]),
            static_cast<std::uint8_t>(v2::FrameType::kHelloAck));
+  const auto drained = engine.reap_idle();
+  REQUIRE_EQ(drained.size(), 1u);
+  CHECK_EQ(drained[0].first, 101u);
+  CHECK_EQ(static_cast<std::uint8_t>(drained[0].second[0]),
+           static_cast<std::uint8_t>(v2::FrameType::kError));
+  CHECK_EQ(v2::peek_session_id(drained[0].second), 1u);
+  CHECK(engine.reap_idle().empty());  // drained once
   CHECK_EQ(engine.session_count(), 2u);
   CHECK(engine.session(1) == nullptr);  // evicted and retired
   CHECK(!engine.close_session(1));
@@ -1044,14 +1053,16 @@ TEST(Engine, SessionLimitShedsOldestIdleInsteadOfRejecting) {
   // A slot held by an already-terminal session is preferred: no eviction,
   // no ERROR frame -- the dead session just retires silently.
   SyncClient<U64Symbol> aborter(2, BackendId::kRiblt);  // matches sid 2
-  (void)engine.handle_frame(v2::make_error_frame(2, "client abort"));
+  (void)engine.handle_frame(v2::make_error_frame(2, "client abort"),
+                            /*owner=*/102);
   now = 3.0;
   SyncClient<U64Symbol> fourth(4, BackendId::kRiblt);
-  const auto replies2 = engine.handle_frame(fourth.hello());
+  const auto replies2 = engine.handle_frame(fourth.hello(), /*owner=*/104);
   REQUIRE_EQ(replies2.size(), 1u);
   CHECK_EQ(static_cast<std::uint8_t>(replies2[0][0]),
            static_cast<std::uint8_t>(v2::FrameType::kHelloAck));
   CHECK_EQ(engine.totals().sessions_evicted, 1u);
+  CHECK(engine.reap_idle().empty());
 
   CHECK(engine.close_session(3));
   CHECK(engine.close_session(4));
@@ -1074,7 +1085,7 @@ TEST(Engine, ReapIdleReclaimsAbandonedSessions) {
   // Session 1 says HELLO and goes silent -- the abandoned-mid-handshake
   // peer. Session 2 keeps sending frames (pacing credits count as life).
   SyncClient<U64Symbol> ghost(1, BackendId::kRiblt);
-  (void)engine.handle_frame(ghost.hello());
+  (void)engine.handle_frame(ghost.hello(), /*owner=*/7);
   SyncClient<U64Symbol> live(2, BackendId::kIbltStrata);
   auto acks = engine.handle_frame(live.hello());
   REQUIRE_EQ(acks.size(), 1u);
@@ -1092,11 +1103,13 @@ TEST(Engine, ReapIdleReclaimsAbandonedSessions) {
   }
 
   // At t=6 the ghost is 6s idle (> 5s deadline) but session 2 is only 2s
-  // idle: exactly one session reaps, with an ERROR frame addressed to it.
+  // idle: exactly one session reaps, with an ERROR frame for it addressed
+  // to its owner.
   now = 6.0;
   auto reaped = engine.reap_idle();
   REQUIRE_EQ(reaped.size(), 1u);
-  CHECK_EQ(reaped[0].first, 1u);
+  CHECK_EQ(reaped[0].first, 7u);
+  CHECK_EQ(v2::peek_session_id(reaped[0].second), 1u);
   CHECK_EQ(static_cast<std::uint8_t>(reaped[0].second[0]),
            static_cast<std::uint8_t>(v2::FrameType::kError));
   CHECK_EQ(engine.session_count(), 1u);
@@ -1116,14 +1129,216 @@ TEST(Engine, ReapIdleReclaimsAbandonedSessions) {
   CHECK_EQ(engine.session_count(), 0u);
 }
 
+// A HELLO the engine rejects must not cost a live session its slot: at
+// the cap, HELLOs that fail on item size, on a backend that cannot serve
+// the item width, or on a malformed probe evict nothing and queue no
+// ERROR; a valid one then sheds session 1 as usual.
+TEST(Engine, RejectedHelloAtTheCapShedsNothing) {
+  EngineOptions options;
+  options.max_sessions = 1;
+  SyncEngine<Item32> engine({}, options);
+  engine.add_item(Item32::random(1));
+  SyncClient<Item32> first(1, BackendId::kRiblt);
+  (void)engine.handle_frame(first.hello(), /*owner=*/1);
+
+  v2::Frame narrow;
+  narrow.type = v2::FrameType::kHello;
+  narrow.session_id = 2;
+  narrow.backend = static_cast<std::uint8_t>(BackendId::kRiblt);
+  narrow.item_size = 8;
+  narrow.checksum_len = 8;
+  v2::Frame cpi = narrow;
+  cpi.session_id = 3;
+  cpi.backend = static_cast<std::uint8_t>(BackendId::kCpi);
+  cpi.item_size = 32;
+  v2::Frame probed = narrow;
+  probed.session_id = 4;
+  probed.item_size = 32;
+  probed.adaptive = true;
+  probed.peer_id = 5;
+  probed.probe.assign(16, std::byte{0xff});
+  const std::pair<v2::Frame, std::string> rejected[] = {
+      {narrow, "item size mismatch"},
+      {cpi, "cpi backend requires 8-byte items"},
+      {probed, "malformed adaptive probe"},
+  };
+  for (const auto& [hello, reason] : rejected) {
+    const auto raw = v2::encode_frame(hello);
+    CHECK_EQ(protocol_error_of(
+                 [&] { (void)engine.handle_frame(raw, /*owner=*/2); }),
+             reason);
+    REQUIRE(engine.session(1) != nullptr);
+    CHECK(engine.session(1)->state == SessionState::kActive);
+    CHECK_EQ(engine.totals().sessions_evicted, 0u);
+    CHECK(engine.reap_idle().empty());
+  }
+
+  SyncClient<Item32> second(6, BackendId::kRiblt);
+  REQUIRE_EQ(engine.handle_frame(second.hello(), /*owner=*/2).size(), 1u);
+  CHECK(engine.session(1) == nullptr);
+  CHECK_EQ(engine.totals().sessions_evicted, 1u);
+  const auto drained = engine.reap_idle();
+  REQUIRE_EQ(drained.size(), 1u);
+  CHECK_EQ(drained[0].first, 1u);
+  CHECK_EQ(v2::peek_session_id(drained[0].second), 1u);
+}
+
+// The owner contract: a session takes frames only from the owner its HELLO
+// arrived with. Another owner's HELLO, ROUND (credit or escalation), DONE
+// and ERROR for its id are rejected before they touch the session -- its
+// stats, its pacing mark and its idle clock stay as they were, so it is
+// still paused and still reaps on its owner's silence, addressed to it.
+TEST(Engine, ForeignOwnerFramesLeaveTheSessionUntouched) {
+  double now = 0.0;
+  EngineOptions options;
+  options.idle_deadline_s = 5.0;
+  options.clock = [&now] { return now; };
+  const auto w = make_set_pair<U64Symbol>(300, 200, 200, 66);  // d = 400
+  SyncEngine<U64Symbol> engine({}, options);
+  for (const auto& x : w.a) engine.add_item(x);
+  SyncClient<U64Symbol> client(5, BackendId::kRiblt);
+  client.set_adaptive(0x5005);
+  for (const auto& y : w.b) client.add_item(y);
+  const auto hello = client.hello();
+  REQUIRE_EQ(engine.handle_frame(hello, /*owner=*/1).size(), 1u);
+  const SessionStats* stats = engine.session(5);
+  REQUIRE(stats != nullptr);
+  REQUIRE(stats->backend == BackendId::kRiblt);  // large d: paced rateless
+  REQUIRE(stats->pace_cap > 0u);
+  while (engine.next_frame(5)) {
+  }  // stream to the pacing cap
+  const SessionStats before = *stats;
+  const std::uint64_t from_peers = engine.totals().bytes_from_peers;
+
+  now = 4.0;
+  v2::Frame credit;
+  credit.type = v2::FrameType::kRound;
+  credit.session_id = 5;
+  v2::Frame escalation = credit;
+  escalation.payload = {std::byte{0x01}};
+  v2::Frame done;
+  done.type = v2::FrameType::kDone;
+  done.session_id = 5;
+  done.value = 1;
+  const std::vector<std::vector<std::byte>> foreign = {
+      hello, v2::encode_frame(credit), v2::encode_frame(escalation),
+      v2::encode_frame(done), v2::make_error_frame(5, "abort")};
+  for (const auto& frame : foreign) {
+    CHECK_EQ(protocol_error_of(
+                 [&] { (void)engine.handle_frame(frame, /*owner=*/2); }),
+             "session belongs to another connection");
+  }
+  CHECK(stats->state == SessionState::kActive);
+  CHECK_EQ(stats->owner, 1u);
+  CHECK_EQ(stats->bytes_from_peer, before.bytes_from_peer);
+  CHECK_EQ(stats->bytes_to_peer, before.bytes_to_peer);
+  CHECK_EQ(stats->frames_sent, before.frames_sent);
+  CHECK_EQ(stats->rounds, before.rounds);
+  CHECK_EQ(stats->credits, before.credits);
+  CHECK_EQ(stats->done_value, before.done_value);
+  CHECK(stats->error.empty());
+  CHECK_EQ(engine.totals().bytes_from_peers, from_peers);
+  CHECK(engine.next_frame(5) == std::nullopt);  // still paused
+
+  // 5.5 s after its owner's HELLO the session is past the 5 s deadline;
+  // had the t = 4 frames counted as life it would be 1.5 s idle.
+  now = 5.5;
+  const auto reaped = engine.reap_idle();
+  REQUIRE_EQ(reaped.size(), 1u);
+  CHECK_EQ(reaped[0].first, 1u);
+  CHECK_EQ(v2::peek_session_id(reaped[0].second), 5u);
+}
+
+// The one rule for answering a rejected frame: an ERROR back to its
+// sender, except for a DONE or ERROR (its sender has moved on) and for a
+// frame whose sender itself holds a session with its id (a duplicate
+// HELLO, which an ERROR would turn into the end of the sender's session).
+TEST(Engine, RejectedFramesAreAnsweredByOneRule) {
+  SyncEngine<U64Symbol> engine;
+  engine.add_item(U64Symbol::random(1));
+  SyncClient<U64Symbol> client(3, BackendId::kRiblt);
+  const auto hello = client.hello();
+  (void)engine.handle_frame(hello, /*owner=*/1);
+  const auto answer = [&](const std::vector<std::byte>& frame,
+                          std::uint64_t owner) {
+    const std::string reason = protocol_error_of(
+        [&] { (void)engine.handle_frame(frame, owner); });
+    CHECK(reason != "<no ProtocolError>");
+    return engine.reject_answer(frame, owner, reason);
+  };
+  v2::Frame round;
+  round.type = v2::FrameType::kRound;
+  round.session_id = 3;
+  v2::Frame done = round;
+  done.type = v2::FrameType::kDone;
+
+  for (const auto& frame : {hello, v2::encode_frame(round)}) {
+    const auto reply = answer(frame, /*owner=*/2);
+    REQUIRE(reply.has_value());
+    const v2::Frame f = v2::parse_frame(*reply);
+    CHECK(f.type == v2::FrameType::kError);
+    CHECK_EQ(f.session_id, 3u);
+    CHECK_EQ(v2::error_text(f),
+             std::string("session belongs to another connection"));
+  }
+  CHECK(!answer(v2::encode_frame(done), /*owner=*/2).has_value());
+  CHECK(!answer(v2::make_error_frame(3, "abort"), /*owner=*/2).has_value());
+  CHECK(!answer(hello, /*owner=*/1).has_value());  // the owner's duplicate
+
+  round.session_id = 4;  // nobody holds 4
+  done.session_id = 4;
+  const auto unknown = answer(v2::encode_frame(round), /*owner=*/1);
+  REQUIRE(unknown.has_value());
+  CHECK_EQ(v2::error_text(v2::parse_frame(*unknown)),
+           std::string("unknown session id"));
+  CHECK(!answer(v2::encode_frame(done), /*owner=*/1).has_value());
+  CHECK(engine.session(3)->state == SessionState::kActive);
+}
+
+// close_owner retires every session one owner opened -- an active one
+// counts as failed, a finished one keeps its outcome -- and no other
+// owner's.
+TEST(Engine, CloseOwnerRetiresOnlyThatOwnersSessions) {
+  SyncEngine<U64Symbol> engine;
+  engine.add_item(U64Symbol::random(1));
+  for (std::uint64_t sid = 1; sid <= 4; ++sid) {
+    SyncClient<U64Symbol> client(sid, BackendId::kRiblt);
+    (void)engine.handle_frame(client.hello(), /*owner=*/sid <= 2 ? 1 : 2);
+  }
+  v2::Frame done;
+  done.type = v2::FrameType::kDone;
+  done.session_id = 2;
+  (void)engine.handle_frame(v2::encode_frame(done), /*owner=*/1);
+
+  CHECK_EQ(engine.close_owner(1), 2u);
+  CHECK(engine.session(1) == nullptr);
+  CHECK(engine.session(2) == nullptr);
+  CHECK(engine.session(3) != nullptr);
+  CHECK(engine.session(4) != nullptr);
+  const EngineTotals t = engine.totals();
+  CHECK_EQ(t.done, 1u);
+  CHECK_EQ(t.failed, 1u);
+  CHECK_EQ(t.active, 2u);
+  CHECK_EQ(engine.close_owner(1), 0u);
+  CHECK_EQ(engine.close_owner(2), 2u);
+  CHECK_EQ(engine.session_count(), 0u);
+  CHECK_EQ(engine.totals().failed, 3u);
+}
+
 // Session conservation under random lifecycles, over many seeds: whatever
-// mix of HELLOs on all four backends, client DONEs and ERRORs, contained
-// failures, closes, idle reaps, and evictions at a small cap drives the
-// engine, after every step its totals satisfy sessions == done + failed +
-// active, with active equal to the kActive sessions still in the table.
+// mix of HELLOs on all four backends from three owners, client DONEs and
+// ERRORs, contained failures, closes, owner closes, idle reaps, and
+// evictions at a small cap drives the engine -- with every session frame
+// sent by a random owner, so a third of them are another owner's -- after
+// every step its totals satisfy sessions == done + failed + active, with
+// active equal to the kActive sessions still in the table. A frame
+// rejected as another owner's leaves its target's stats as they were, and
+// every ERROR the drain hands back is addressed to its session's owner.
 TEST(Engine, SessionConservationHoldsOverRandomLifecycles) {
   std::uint64_t reaped = 0;
   std::uint64_t evicted = 0;
+  std::uint64_t foreign = 0;
+  std::uint64_t owner_closed = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     double now = 0.0;
     EngineOptions options;
@@ -1136,33 +1351,41 @@ TEST(Engine, SessionConservationHoldsOverRandomLifecycles) {
     }
     SplitMix64 rng(seed);
     std::uint64_t next_sid = 1;
+    std::map<std::uint64_t, std::uint64_t> owner_of;  // sid -> HELLO owner
     for (int step = 0; step < 80; ++step) {
       // Mostly known sids, sometimes one never opened.
       const std::uint64_t sid = 1 + rng.next() % next_sid;
+      const std::uint64_t owner = rng.next() % 3;
+      const SessionStats* target = engine.session(sid);
+      const std::optional<SessionStats> before =
+          target != nullptr ? std::optional<SessionStats>(*target)
+                            : std::nullopt;
       v2::Frame frame;
       frame.session_id = sid;
       try {
-        switch (rng.next() % 8) {
+        switch (rng.next() % 10) {
           case 0:
           case 1: {
+            owner_of[next_sid] = owner;
             SyncClient<U64Symbol> client(next_sid++,
                                          kAllBackends[rng.next() % 4]);
-            (void)engine.handle_frame(client.hello());
+            (void)engine.handle_frame(client.hello(), owner);
             break;
           }
           case 2:
             frame.type = v2::FrameType::kDone;
-            (void)engine.handle_frame(v2::encode_frame(frame));
+            (void)engine.handle_frame(v2::encode_frame(frame), owner);
             break;
           case 3:
-            (void)engine.handle_frame(v2::make_error_frame(sid, "abort"));
+            (void)engine.handle_frame(v2::make_error_frame(sid, "abort"),
+                                      owner);
             break;
           case 4:
             // A garbage escalation: a contained failure (or, on a paced
             // or settled session, a no-op).
             frame.type = v2::FrameType::kRound;
             frame.payload = {std::byte{0xff}, std::byte{0xff}};
-            (void)engine.handle_frame(v2::encode_frame(frame));
+            (void)engine.handle_frame(v2::encode_frame(frame), owner);
             break;
           case 5:
             (void)engine.close_session(sid);
@@ -1170,12 +1393,37 @@ TEST(Engine, SessionConservationHoldsOverRandomLifecycles) {
           case 6:
             (void)engine.next_frame(sid);
             break;
+          case 7:
+            owner_closed += engine.close_owner(owner);
+            break;
+          case 8:
+            if (target != nullptr) {
+              // A second HELLO for a live id: a duplicate from its owner,
+              // a hijack from anyone else -- refused either way.
+              SyncClient<U64Symbol> again(sid, BackendId::kRiblt);
+              (void)engine.handle_frame(again.hello(), owner);
+              ADD_FAILURE();
+            }
+            break;
           default:
-            (void)engine.reap_idle();
+            for (const auto& [to, error] : engine.reap_idle()) {
+              REQUIRE_EQ(to, owner_of.at(v2::peek_session_id(error)));
+            }
             break;
         }
-      } catch (const ProtocolError&) {
-        // unknown or retired sid: nothing to account
+      } catch (const ProtocolError& e) {
+        // Unknown or retired sid: nothing to account. Another owner's
+        // frame: nothing of its target may have moved.
+        if (std::string(e.what()) == "session belongs to another connection") {
+          ++foreign;
+          REQUIRE(before.has_value());
+          REQUIRE(engine.session(sid) == target);
+          CHECK(target->state == before->state);
+          CHECK_EQ(target->owner, before->owner);
+          CHECK_EQ(target->bytes_from_peer, before->bytes_from_peer);
+          CHECK_EQ(target->rounds, before->rounds);
+          CHECK_EQ(target->done_value, before->done_value);
+        }
       }
       now += static_cast<double>(rng.next() % 1000) / 1000.0;
       const EngineTotals t = engine.totals();
@@ -1186,9 +1434,11 @@ TEST(Engine, SessionConservationHoldsOverRandomLifecycles) {
     reaped += t.sessions_reaped;
     evicted += t.sessions_evicted;
   }
-  // The sweep reached both reclaim paths.
+  // The sweep reached every reclaim path and the owner check.
   CHECK(reaped > 0u);
   CHECK(evicted > 0u);
+  CHECK(owner_closed > 0u);
+  CHECK(foreign > 0u);
 }
 
 }  // namespace

@@ -291,7 +291,6 @@ TEST(PromLint, ServerScrapeMatchesGoldenSchema) {
       {"riblt_server_frames_in_total", "counter"},
       {"riblt_server_frames_out_total", "counter"},
       {"riblt_server_protocol_errors_total", "counter"},
-      {"riblt_server_routes", "gauge"},
       {"riblt_server_sqe_submits_total", "counter"},
       {"riblt_server_syscalls_total", "counter"},
       {"riblt_shard_inbox_depth", "histogram"},

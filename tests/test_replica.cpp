@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 namespace ribltx::sync {
 namespace {
 
+using testing::key_set;
 using testing::make_set_pair;
 using Item32 = ByteSymbol<32>;
 
@@ -155,6 +157,63 @@ TEST(Replica, SendFailureFailsPeerAndReclaimsServing) {
   const auto totals = replica.engine().totals();
   EXPECT_EQ(totals.active, 0u);
   EXPECT_EQ(totals.sessions, 1u);  // the serving session, now retired
+}
+
+// A serving session belongs to the peer whose HELLO opened it. Another
+// peer's ROUND for it is refused in-band as another connection's, its DONE
+// and ERROR draw no answer at all, and the owner's session streams on to
+// the exact diff.
+TEST(Replica, ForeignPeerCannotTouchAServingSession) {
+  Replica<Item32> replica(base_options(1));
+  const auto w = make_set_pair<Item32>(200, 12, 6, 131);
+  for (const auto& x : w.a) (void)replica.add_item(x);
+  replica.set_paused(true);  // serving only: no outbound rounds
+  CapturePeer owner_link;
+  CapturePeer hijacker_link;
+  replica.add_peer(2, owner_link.send());
+  replica.add_peer(3, hijacker_link.send());
+
+  SyncClient<Item32> client(77, BackendId::kRiblt);
+  for (const auto& y : w.b) client.add_item(y);
+  double t = 0.01;
+  replica.deliver(2, client.hello(), t);
+  REQUIRE_EQ(owner_link.count(v2::FrameType::kHelloAck), 1u);
+
+  v2::Frame round;
+  round.type = v2::FrameType::kRound;
+  round.session_id = 77;
+  replica.deliver(3, v2::encode_frame(round), t);
+  REQUIRE_EQ(hijacker_link.frames.size(), 1u);
+  const v2::Frame refused = v2::parse_frame(hijacker_link.frames[0]);
+  CHECK(refused.type == v2::FrameType::kError);
+  CHECK_EQ(refused.session_id, 77u);
+  CHECK_EQ(v2::error_text(refused),
+           std::string("session belongs to another connection"));
+  v2::Frame done = round;
+  done.type = v2::FrameType::kDone;
+  replica.deliver(3, v2::encode_frame(done), t);
+  replica.deliver(3, v2::make_error_frame(77, "abort"), t);
+  CHECK_EQ(hijacker_link.frames.size(), 1u);
+
+  std::size_t next = 0;
+  for (int guard = 0; guard < 100000 && !client.complete() && !client.failed();
+       ++guard) {
+    if (next == owner_link.frames.size()) {
+      t += 0.001;
+      replica.tick(t);  // pumps the next serve_budget frames
+      continue;
+    }
+    const auto frame = owner_link.frames[next++];  // deliver may append
+    for (auto& reply : client.handle_frame(frame)) {
+      replica.deliver(2, reply, t);
+    }
+  }
+  REQUIRE(client.complete());
+  CHECK(key_set(client.diff().remote) == key_set(w.only_a));
+  CHECK(key_set(client.diff().local) == key_set(w.only_b));
+  CHECK_EQ(hijacker_link.frames.size(), 1u);
+  replica.tick(t + 0.001);  // retires the finished session
+  CHECK_EQ(replica.engine().session_count(), 0u);
 }
 
 /// In-memory pair coupling: frames queue per direction and flush on

@@ -239,7 +239,7 @@ TEST(Sharded, ThreadedServingReconcilesManyClients) {
   // The sink runs on shard workers: route the frame to its client by the
   // base session id and feed replies straight back to the router.
   std::mutex submit_mu;
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::uint64_t sid = v2::peek_session_id(frame);
     const std::size_t c = static_cast<std::size_t>((sid - 1) / kShards);
     ASSERT_LT(c, kClients);
@@ -285,7 +285,7 @@ TEST(Sharded, LateFrameForEvictedSessionAnsweredByItsShard) {
   options.max_sessions = 1;
   ShardedEngine<Item32> engine(1, {}, options);
   engine.add_item(Item32::random(1));
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const auto type = static_cast<v2::FrameType>(frame[0]);
     if (type == v2::FrameType::kSymbols) return;  // the unread streams
     const v2::Frame f = v2::parse_frame(frame);
@@ -331,7 +331,7 @@ TEST(Sharded, LateDoneIsCountedButNotAnswered) {
   std::mutex mu;  // declared before the engine: its workers use them
   std::vector<std::uint64_t> answered;
   ShardedEngine<Item32> engine(1);
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::lock_guard<std::mutex> lk(mu);
     answered.push_back(v2::peek_session_id(frame));
   });
@@ -359,6 +359,45 @@ TEST(Sharded, LateDoneIsCountedButNotAnswered) {
   REQUIRE(round_answered);
   CHECK(answered == std::vector<std::uint64_t>{6});
   CHECK_EQ(engine.stats().protocol_errors, 2u);
+}
+
+// Every frame a worker hands the sink carries the owner its session's
+// HELLO arrived with, and close_owner queues behind the frames that owner
+// already submitted: each shard opens the owner's session, then retires
+// it, while another owner's session streams on.
+TEST(Sharded, CloseOwnerRetiresOnlyThatOwnersSessions) {
+  std::mutex mu;  // declared before the engine: its workers use them
+  std::size_t acks = 0;
+  std::size_t misaddressed = 0;
+  ShardedEngine<Item32> engine(2);
+  engine.add_item(Item32::random(1));
+  ShardedClient<Item32> leaving(1, 2, BackendId::kRiblt);
+  ShardedClient<Item32> staying(2, 2, BackendId::kRiblt);
+  for (auto& hello : leaving.hellos()) engine.submit(std::move(hello), 7);
+  for (auto& hello : staying.hellos()) engine.submit(std::move(hello), 8);
+  engine.close_owner(7);
+  engine.start([&](std::uint64_t owner, std::vector<std::byte> frame) {
+    const std::uint64_t sid = v2::peek_session_id(frame);
+    const std::lock_guard<std::mutex> lk(mu);
+    if (owner != (leaving.owns(sid) ? 7u : 8u)) ++misaddressed;
+    if (static_cast<v2::FrameType>(frame[0]) == v2::FrameType::kHelloAck) {
+      ++acks;
+    }
+  });
+  bool settled = false;
+  for (int spin = 0; spin < 20000 && !settled; ++spin) {
+    const ShardedStats stats = engine.stats();
+    settled = stats.totals.sessions == 4 && stats.totals.failed == 2;
+    if (!settled) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine.stop();
+  REQUIRE(settled);
+  const ShardedStats stats = engine.stats();
+  CHECK_EQ(stats.totals.active, 2u);  // the staying client's sub-sessions
+  CHECK_EQ(stats.protocol_errors, 0u);
+  const std::lock_guard<std::mutex> lk(mu);
+  CHECK_EQ(acks, 4u);
+  CHECK_EQ(misaddressed, 0u);
 }
 
 // The id->shard contract both ends rely on: every sub-session id a
@@ -419,7 +458,7 @@ TEST(Sharded, ConcurrentIngestWhileServing) {
     for (const auto& y : base.b) clients[c]->add_item(y);
   }
   std::mutex submit_mu;
-  engine.start([&](std::vector<std::byte> frame) {
+  engine.start([&](std::uint64_t, std::vector<std::byte> frame) {
     const std::uint64_t sid = v2::peek_session_id(frame);
     const std::size_t c = static_cast<std::size_t>((sid - 1) / kShards);
     ASSERT_LT(c, kClients);
