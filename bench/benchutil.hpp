@@ -23,6 +23,19 @@
 #include "core/riblt.hpp"
 #include "obs/metrics.hpp"
 
+// 1 under ASan/TSan, whose instrumentation distorts timings: benches skip
+// their timing gates there and keep only their correctness checks.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RIBLT_BENCH_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RIBLT_BENCH_SANITIZED 1
+#endif
+#endif
+#ifndef RIBLT_BENCH_SANITIZED
+#define RIBLT_BENCH_SANITIZED 0
+#endif
+
 namespace ribltx::bench {
 
 struct Options {

@@ -1,8 +1,9 @@
 // Extension bench: the adaptive negotiation path (sync/adaptive.hpp)
-// against every fixed backend, on a simulated link -- the ISSUE 6
-// acceptance surface. Sweeps d in {1,10,100,1000} x loss in {0,1,5}% over
-// a SimConduit (bounded window, go-back-N, seeded deterministic loss) and
-// reports, per cell:
+// against every fixed backend, in two sections.
+//
+// SimConduit (the thin-link profile, LinkProfile::lossy). Sweeps d in
+// {1,10,100,1000} x loss in {0,1,5}% over a SimConduit (bounded window,
+// go-back-N, seeded deterministic loss) and reports, per cell:
 //
 //  * one fixed-backend session per backend (CPI only inside the shared
 //    cpi_feasible() envelope -- the same rule the adaptive chooser uses,
@@ -12,16 +13,33 @@
 //    reports the LAST of `warm` sessions (the common case: a node
 //    re-syncing the same neighbor), plus the first-contact cost.
 //
-// The headline check (nonzero exit on violation): adaptive session bytes
-// within 10% of the best fixed backend on EVERY cell. Fixed rateless
-// shows why pacing matters: unpaced, the server fills the conduit window
-// with symbols the client never needed, at every d.
+// Its check (nonzero exit on violation): adaptive session bytes within
+// 10% of the best fixed backend on EVERY cell. Fixed rateless shows why
+// pacing matters: unpaced, the server fills the conduit window with
+// symbols the client never needed, at every d.
+//
+// Loopback (in memory, the fat-link profile, LinkProfile::loopback). One
+// warm SyncEngine per set size n serves fixed-backend sessions whose
+// frames cross synchronously; only the engine's calls are timed, in
+// thread CPU, min of up to 5 runs. It prices every backend at n in
+// {2500, 5000, 5*10^4} x d in {1, 12, 56, 100, 1000} as serve_ns x
+// loopback().cpu_cost + wire bytes + rounds x round_cost_bytes, then
+// prints the measured per-operation serving costs beside the kServeNs*
+// constants sync/adaptive.hpp commits. Its check: the model's loopback
+// pick costs at most 1.25x the cheapest backend measured on every cell.
+// The timing check skips itself under sanitizers; failed sessions always
+// fail the run. --smoke stops at d = 100, skips the 1% loss column and
+// the n = 5*10^4 loopback cells (~2 s; ~5 s at default scale).
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
+#include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "benchutil.hpp"
+#include "core/wire.hpp"
 #include "net/sim_conduit.hpp"
 #include "sync/adaptive.hpp"
 #include "sync/engine.hpp"
@@ -30,6 +48,10 @@ namespace {
 
 using namespace ribltx;
 using sync::BackendId;
+
+/// Every backend, in wire-id order (index = wire id - 1).
+constexpr BackendId kBackends[] = {BackendId::kRiblt, BackendId::kIbltStrata,
+                                   BackendId::kCpi, BackendId::kMetIblt};
 
 struct Sets {
   std::vector<U64Symbol> both, only_a, only_b;
@@ -138,6 +160,293 @@ sync::SyncClient<U64Symbol> make_client(const Sets& s, std::uint64_t sid,
   return client;
 }
 
+// ------------------------------------------------------------- loopback
+
+using LoopEngine = sync::SyncEngine<U64Symbol>;
+using LoopClient = sync::SyncClient<U64Symbol>;
+
+/// This thread's CPU time, ns.
+[[nodiscard]] double thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 +
+         static_cast<double>(ts.tv_nsec);
+}
+
+/// The engine holds `base` (n items); a client at difference d holds
+/// base minus its first d - d/2 items, plus the first d/2 of `extra`.
+struct LoopSet {
+  std::vector<HashedSymbol<U64Symbol>> base, extra;
+};
+
+LoopSet make_loop_set(std::size_t n, std::size_t max_d, std::uint64_t seed) {
+  LoopSet s;
+  SplitMix64 rng(seed);
+  const SipHasher<U64Symbol> hasher;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.base.push_back(hasher.hashed(U64Symbol::from_u64(rng.next() | 1)));
+  }
+  for (std::size_t i = 0; i < max_d / 2; ++i) {
+    s.extra.push_back(hasher.hashed(U64Symbol::from_u64(rng.next() | 1)));
+  }
+  return s;
+}
+
+LoopClient make_loop_client(const LoopSet& s, std::size_t d,
+                            std::uint64_t sid, BackendId backend) {
+  LoopClient client(sid, backend);
+  for (std::size_t i = d - d / 2; i < s.base.size(); ++i) {
+    client.add_hashed_item(s.base[i]);
+  }
+  for (std::size_t i = 0; i < d / 2; ++i) client.add_hashed_item(s.extra[i]);
+  return client;
+}
+
+struct Served {
+  bool ok = false;
+  double serve_ns = 0;           ///< engine calls only, thread CPU
+  double session_ns = 0;         ///< both ends, thread CPU
+  std::uint64_t wire_bytes = 0;  ///< SYMBOLS down + HELLO/ROUND/DONE up
+  std::uint32_t rounds = 0;
+};
+
+/// One in-memory session, frames handed across synchronously (so no
+/// runway overshoot); the session is closed afterwards.
+Served serve(LoopEngine& engine, LoopClient& client, std::size_t d) {
+  Served out;
+  const double start = thread_cpu_ns();
+  const std::uint64_t sid = client.session_id();
+  std::deque<std::vector<std::byte>> up{client.hello()};
+  const auto answer = [&](const std::vector<std::byte>& down) {
+    for (auto& reply : client.handle_frame(down)) {
+      up.push_back(std::move(reply));
+    }
+  };
+  for (;;) {
+    while (!up.empty()) {
+      const double t0 = thread_cpu_ns();
+      const auto down = engine.handle_frame(up.front());
+      out.serve_ns += thread_cpu_ns() - t0;
+      up.pop_front();
+      for (const auto& frame : down) answer(frame);
+    }
+    if (client.complete() || client.failed()) break;
+    const double t0 = thread_cpu_ns();
+    const auto frame = engine.next_frame(sid);
+    out.serve_ns += thread_cpu_ns() - t0;
+    if (!frame) break;
+    answer(*frame);
+  }
+  if (const sync::SessionStats* s = engine.session(sid)) {
+    out.ok = client.complete() && s->state == sync::SessionState::kDone &&
+             client.diff().remote.size() + client.diff().local.size() == d;
+    out.wire_bytes = s->bytes_to_peer + s->bytes_from_peer;
+    out.rounds = s->rounds;
+  }
+  engine.close_session(sid);
+  out.session_ns = thread_cpu_ns() - start;
+  return out;
+}
+
+/// Min-of-runs serving cost of one fixed backend at (n, d): up to 5
+/// runs, fewer once the sessions have spent 50 ms of CPU, one under
+/// sanitizers. A CPI session at d >= 56 costs more than that by itself
+/// (its client's cubic decode), and runs far above timer noise. Wire
+/// bytes and rounds come from the first run.
+Served measure(LoopEngine& engine, const LoopSet& set, std::size_t d,
+               BackendId backend, std::uint64_t& sid) {
+  const int max_runs = RIBLT_BENCH_SANITIZED ? 1 : 5;
+  Served best;
+  double spent = 0;
+  for (int run = 0; run < max_runs && spent < 50e6; ++run) {
+    auto client = make_loop_client(set, d, ++sid, backend);
+    const Served r = serve(engine, client, d);
+    if (!r.ok) return r;
+    spent += r.session_ns;
+    if (run == 0) {
+      best = r;
+    } else {
+      best.serve_ns = std::min(best.serve_ns, r.serve_ns);
+    }
+  }
+  return best;
+}
+
+/// Serving ns per operation on the emit path alone: a fixed `backend`
+/// session on the warm engine emits its first `frames` SYMBOLS frames with
+/// nothing fed back; `ops_in(frames)` counts the operations they carry.
+/// Thread CPU, min of 5 runs after one that warms the cache.
+template <typename OpsIn>
+double emit_ns_per_op(LoopEngine& engine, const LoopSet& set,
+                      BackendId backend, std::size_t frames,
+                      std::uint64_t& sid, OpsIn ops_in) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int run = 0; run <= 5; ++run) {
+    auto client = make_loop_client(set, 0, ++sid, backend);
+    (void)engine.handle_frame(client.hello());
+    std::vector<std::vector<std::byte>> out;
+    out.reserve(frames);
+    const double t0 = thread_cpu_ns();
+    for (std::size_t i = 0; i < frames; ++i) {
+      out.push_back(*engine.next_frame(sid));
+    }
+    const double ns = thread_cpu_ns() - t0;
+    engine.close_session(sid);
+    if (run > 0) best = std::min(best, ns / ops_in(out));
+  }
+  return best;
+}
+
+/// Coded symbols in a run of rateless SYMBOLS frames (8-byte checksums).
+double stream_symbols(const std::vector<std::vector<std::byte>>& frames) {
+  std::size_t symbols = 0;
+  for (const auto& frame : frames) {
+    const auto payload = sync::v2::parse_frame(frame).payload;
+    ByteReader r(payload);
+    for (; !r.done(); ++symbols) {
+      (void)wire::read_stream_symbol<U64Symbol>(r, 8);
+    }
+  }
+  return static_cast<double>(symbols);
+}
+
+/// The loopback section; false when a session failed or (outside
+/// sanitizers) the model's pick cost more than 1.25x the cheapest.
+bool run_loopback(const bench::Options& opts, bench::JsonReport& report) {
+  namespace ad = sync::adaptive;
+  const std::vector<std::size_t> ns =
+      opts.smoke ? std::vector<std::size_t>{2500, 5000}
+                 : std::vector<std::size_t>{2500, 5000, 50000};
+  const std::vector<std::size_t> ds =
+      opts.smoke ? std::vector<std::size_t>{1, 12, 56, 100}
+                 : std::vector<std::size_t>{1, 12, 56, 100, 1000};
+  constexpr std::size_t kConstantsN = 5000;  ///< the committed constants' n
+  const sync::ReconcilerConfig config{};
+  const ad::AdaptiveOptions adaptive{};
+  const ad::LinkProfile link = ad::LinkProfile::loopback();
+  const bool gated = !RIBLT_BENCH_SANITIZED;
+
+  std::printf("\n# Loopback (in memory): fixed backends on a warm engine, "
+              "engine calls only, thread CPU\n");
+  std::printf("# cost = serve_ns x %.4f B/ns + wire bytes + rounds x %.0f B"
+              " (byte equivalents); gate: model pick <= 1.25x cheapest%s\n",
+              link.cpu_cost, link.round_cost_bytes,
+              gated ? "" : " (timing gate skipped under sanitizers)");
+  std::printf("%-7s %-6s %-12s %-12s %-12s %-12s %-12s %-12s %-7s\n", "n",
+              "d", "riblt", "iblt+strata", "cpi", "met-iblt", "model", "best",
+              "ratio");
+
+  bool ok = true;
+  std::uint64_t sid = 0;
+  double gf64_ns = 0, iblt_ns = 0, met_ns = 0, symbol_ns = 0;
+  for (const std::size_t n : ns) {
+    const LoopSet set = make_loop_set(n, ds.back(), derive_seed(opts.seed, n));
+    LoopEngine engine;
+    for (const auto& hs : set.base) engine.add_hashed_item(hs);
+    {
+      // Warm: materialize the shared cache as far as the largest d reads.
+      auto client = make_loop_client(set, ds.back(), ++sid, BackendId::kRiblt);
+      ok = serve(engine, client, ds.back()).ok && ok;
+    }
+    if (n == kConstantsN) {
+      // 64 frames is ~3600 symbols; one CPI frame is the first rung of
+      // the ladder, n x cpi_initial_capacity multiplies.
+      symbol_ns = emit_ns_per_op(engine, set, BackendId::kRiblt, 64, sid,
+                                 stream_symbols);
+      gf64_ns = emit_ns_per_op(
+          engine, set, BackendId::kCpi, 1, sid, [&](const auto&) {
+            return static_cast<double>(n * config.cpi_initial_capacity);
+          });
+    }
+    for (const std::size_t d : ds) {
+      double cost[std::size(kBackends)] = {};
+      bool feasible[std::size(kBackends)] = {};
+      double cheapest = 0;
+      BackendId best = BackendId::kRiblt;
+      for (std::size_t i = 0; i < std::size(kBackends); ++i) {
+        const BackendId b = kBackends[i];
+        if (b == BackendId::kCpi && !ad::cpi_feasible<U64Symbol>(d, config)) {
+          continue;
+        }
+        const Served r = measure(engine, set, d, b, sid);
+        if (!r.ok) {
+          std::printf("%-7zu %-6zu %-12s FAILED\n", n, d,
+                      sync::backend_name(b));
+          ok = false;
+          continue;
+        }
+        feasible[i] = true;
+        cost[i] = r.serve_ns * link.cpu_cost +
+                  static_cast<double>(r.wire_bytes) +
+                  r.rounds * link.round_cost_bytes;
+        if (cheapest == 0 || cost[i] < cheapest) {
+          cheapest = cost[i];
+          best = b;
+        }
+        if (n == kConstantsN && d == ds.front()) {
+          if (b == BackendId::kIbltStrata) iblt_ns = r.serve_ns / n;
+          if (b == BackendId::kMetIblt) met_ns = r.serve_ns / n;
+        }
+        report.row()
+            .str("section", "loopback")
+            .str("backend", sync::backend_name(b))
+            .num("n", n)
+            .num("d", d)
+            .num("serve_ns", r.serve_ns)
+            .num("wire_bytes", r.wire_bytes)
+            .num("rounds", static_cast<std::uint64_t>(r.rounds))
+            .num("cost_bytes", cost[i]);
+      }
+      const BackendId pick = ad::choose_backend<U64Symbol>(
+          BackendId::kRiblt, d, n, 8, config, adaptive, link);
+      const std::size_t pi = static_cast<std::size_t>(pick) - 1;
+      const double ratio =
+          feasible[pi] && cheapest > 0 ? cost[pi] / cheapest : 0;
+      const bool within = feasible[pi] && (!gated || ratio <= 1.25);
+      ok = ok && within;
+      std::printf("%-7zu %-6zu", n, d);
+      for (std::size_t i = 0; i < std::size(kBackends); ++i) {
+        if (feasible[i]) {
+          std::printf(" %-12.0f", cost[i]);
+        } else {
+          std::printf(" %-12s", "-");
+        }
+      }
+      std::printf(" %-12s %-12s %.3f%s\n", sync::backend_name(pick),
+                  sync::backend_name(best), ratio, within ? "" : "  GATE!");
+      report.row()
+          .str("section", "loopback")
+          .str("backend", "model")
+          .str("chosen", sync::backend_name(pick))
+          .num("n", n)
+          .num("d", d)
+          .num("loopback_ratio", ratio);
+      std::fflush(stdout);
+    }
+  }
+
+  std::printf("# serving ns per op at n = %zu (min of runs) vs the "
+              "constants sync/adaptive.hpp commits\n", kConstantsN);
+  std::printf("#   %-30s %8s %10s\n", "op", "measured", "committed");
+  std::printf("#   %-30s %8.1f %10.1f\n", "GF(2^64) multiply (cpi)",
+              gf64_ns, ad::kServeNsPerGf64Mul);
+  std::printf("#   %-30s %8.1f %10.1f\n", "stream symbol (riblt, warm)",
+              symbol_ns, ad::kServeNsPerStreamSymbol);
+  std::printf("#   %-30s %8.1f %10.1f\n", "iblt+strata item (d = 1)",
+              iblt_ns, ad::kServeNsPerIbltItem);
+  std::printf("#   %-30s %8.1f %10.1f\n", "met-iblt item (d = 1)", met_ns,
+              ad::kServeNsPerMetItem);
+  std::printf("#   %-30s %8s %10.1f\n", "loopback wire byte", "trace",
+              ad::kLoopbackServeNsPerWireByte);
+  report.row()
+      .str("section", "loopback_constants")
+      .num("gf64_mul_ns", gf64_ns)
+      .num("stream_symbol_ns", symbol_ns)
+      .num("iblt_item_ns", iblt_ns)
+      .num("met_item_ns", met_ns);
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,9 +477,6 @@ int main(int argc, char** argv) {
       // backend, no adaptive flag -- the server serves the request
       // verbatim (the fallback path old clients get).
       std::uint64_t best_fixed = ~std::uint64_t{0};
-      constexpr BackendId kBackends[] = {
-          BackendId::kRiblt, BackendId::kIbltStrata, BackendId::kCpi,
-          BackendId::kMetIblt};
       for (const BackendId backend : kBackends) {
         if (backend == BackendId::kCpi &&
             !sync::adaptive::cpi_feasible<U64Symbol>(d, config)) {
@@ -250,5 +556,6 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  return all_ok ? 0 : 1;
+  const bool loopback_ok = run_loopback(opts, report);
+  return all_ok && loopback_ok ? 0 : 1;
 }

@@ -39,17 +39,6 @@
 #include "net/uring_server.hpp"
 #include "obs/metrics.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define RIBLT_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define RIBLT_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef RIBLT_BENCH_SANITIZED
-#define RIBLT_BENCH_SANITIZED 0
-#endif
-
 namespace {
 
 using namespace ribltx;

@@ -33,6 +33,8 @@ METRICS_LOWER = {
     # first useful frame, pacing-credit round trips, and the adaptive/best-
     # fixed cost ratio (all deterministic netsim numbers).
     "link_bytes", "first_contact_bytes", "credits", "ratio",
+    # ...and its loopback section's in-memory wire bytes per session.
+    "wire_bytes",
     # Chaos anti-entropy harness: staleness and per-item wire cost are
     # simulated-clock numbers, deterministic for a given seed/scale.
     "staleness_p50_s", "staleness_p99_s", "bytes_per_item",
@@ -44,6 +46,11 @@ METRICS_LOWER_NOISY = {
     # itself enforces the 2% ceiling, the trend just tracks drift).
     "obs_overhead_pct",
     "riblt_s", "pinsketch_s",
+    # Adaptive-backend bench, loopback section: serving thread-CPU per
+    # session, its byte-equivalent cost, the model pick's cost over the
+    # cheapest backend's, and the measured per-operation constants.
+    "serve_ns", "cost_bytes", "loopback_ratio",
+    "gf64_mul_ns", "stream_symbol_ns", "iblt_item_ns", "met_item_ns",
     "p50_ms", "p99_ms",  # transport sync latency (loopback jitter is real)
     # Connection-sweep serving cost: syscalls per session is mostly
     # deterministic per backend, but batching boundaries shift with timing

@@ -2,8 +2,8 @@
 // communication that scales with the actual difference d, not the set size
 // -- applied one layer up, to the choice of backend itself.
 //
-// Three pieces close the loop (ISSUE 6 tentpole; rate-compatible
-// reconciliation, Lazaro & Matuz arXiv:2211.05472, is the theory anchor):
+// Three pieces close the loop (rate-compatible reconciliation, Lazaro &
+// Matuz arXiv:2211.05472, is the theory anchor):
 //
 //   1. A cheap up-front d estimate. The client may attach a small strata
 //      probe digest to its HELLO (kProbe* geometry below -- 16 strata x 4
@@ -14,13 +14,18 @@
 //      (PeerEwma), then to a configured default.
 //
 //   2. A cost model (estimate_cost / choose_backend) that prices each
-//      backend's bytes, round trips, and CPU for that d against a
+//      backend's bytes, round trips, and serving CPU for that d against a
 //      LinkProfile, and picks the cheapest. The byte formulas mirror the
 //      real codec sizing rules in sync/reconciler.hpp (CPI's power-of-two
 //      evaluation ladder, the strata estimator's fixed wire cost plus a
 //      2x-overprovisioned table, MET's cumulative level boundaries, the
-//      rateless stream's ~1.35d symbols plus its pacing runway), so the
-//      model ranks backends the way the measured bench does.
+//      rateless stream's ~1.35d symbols plus its pacing runway). The CPU
+//      surface is the serving engine's nanoseconds, priced with measured
+//      per-operation constants (kServeNs* below): the engine is the
+//      resource every peer shares. A fat loopback link converts a serving
+//      ns to bytes at what the transport spends per wire byte, so there
+//      the stream wins for any set past ~100 items; a thin link makes
+//      bytes dominate, and CPI wins the small-d cells.
 //
 //   3. An emission pace for the one backend that streams unboundedly: a
 //      granted rateless session carries a pace_cap -- the server pauses
@@ -64,23 +69,64 @@ template <Symbol T, typename Hasher>
                                           std::move(hasher));
 }
 
+/// Serving-side CPU per codec operation, in nanoseconds: what the cost
+/// model charges a backend for the engine's share of one session (the
+/// client's decode is the peer's own CPU and is not priced; CPI's cubic
+/// decode stays behind cpi_feasible instead). Measured, never calibrated
+/// at runtime, so grants stay deterministic. The loopback section of
+/// `bench_extra_adaptive_backend` (default scale) prints the measured
+/// value beside each constant: a warm SyncEngine at n = 5000 (a ribltbench
+/// `small` shard), engine calls only (the emit path for the multiply and
+/// the symbol, whole sessions for the table items), thread CPU, min of 5.
+/// These were committed from it on a 4-vCPU x86-64 Xeon, GCC 12.2 -O3
+/// (Release), Linux 6.18, where runs read 37-45 / 36-61 / 52-65 /
+/// 297-326 ns. Re-measure when a codec's hot loop changes.
+///
+/// One GF(2^64) multiply in the portable CPI evaluation loop; a CPI
+/// session evaluates its n items at `cap` points, n x cap of them.
+inline constexpr double kServeNsPerGf64Mul = 40;
+/// One rateless symbol streamed from a warm SequenceCache cursor.
+inline constexpr double kServeNsPerStreamSymbol = 38;
+/// One item of an iblt+strata session: folded into the strata estimator
+/// and one sized table, over the whole session (~95 ns at n = 5*10^4).
+inline constexpr double kServeNsPerIbltItem = 55;
+/// One item folded into a MET-IBLT table (every level, up front). At
+/// n = 5000 this includes the table's fixed ~2.4 MB (98,304 cells); the
+/// marginal fold alone is ~180-220 ns at n = 5*10^4.
+inline constexpr double kServeNsPerMetItem = 310;
+
+/// Serving CPU per loopback wire byte: the transport work (syscalls,
+/// copies, framing) a byte costs the serving side on a fat local link.
+/// From the committed ribltbench trace (bench/ribltbench/results/
+/// trace-seed7.json, `unpaced`: net.server_cpu_us = 1935 us per session
+/// of ~254 KB on the wire), i.e. 7.6 ns per byte.
+inline constexpr double kLoopbackServeNsPerWireByte = 7.6;
+
 /// What the serving layer knows about the link a session crosses. The two
 /// non-byte cost surfaces are expressed in byte equivalents so the model
 /// stays a single scalar: round_cost_bytes is what one extra round trip is
-/// worth (latency + per-frame overhead), cpu_cost is what one unit of
-/// codec work (one hash/cell/GF operation) is worth.
+/// worth (latency + per-frame overhead), cpu_cost is what one nanosecond
+/// of serving CPU is worth, in bytes per ns.
 struct LinkProfile {
   double loss_rate = 0.0;        ///< expected segment loss fraction
   double round_cost_bytes = 64;  ///< byte value of one extra round trip
-  double cpu_cost = 1.0 / 64;    ///< byte value of one codec work unit
-  /// Fat local links: rounds are nearly free, CPU shows up directly in
-  /// sessions/s (PR 5 measured serving CPU-bound on loopback).
-  [[nodiscard]] static LinkProfile loopback() { return {0.0, 64, 1.0 / 64}; }
+  /// Byte value of one serving nanosecond (bytes per ns).
+  double cpu_cost = 1.0 / kLoopbackServeNsPerWireByte;
+  /// Fat local links: rounds are nearly free and serving is CPU-bound, so
+  /// a serving ns costs what the transport pays per wire byte -- a codec
+  /// that saves B bytes must not spend more than B x 7.6 ns doing it.
+  [[nodiscard]] static LinkProfile loopback() {
+    return {0.0, 64, 1.0 / kLoopbackServeNsPerWireByte};
+  }
   /// Thin/lossy links (SimConduit): every byte may be sent 1/(1-loss)
   /// times, a round trip costs real time and retransmit exposure, and the
-  /// link -- not the CPU -- is the bottleneck.
+  /// link -- not the CPU -- is the bottleneck: one byte is worth 2^16 ns
+  /// (65.5 us) of serving CPU. The binding cells are the adaptive bench's
+  /// d = 1 ones (n = 201), where CPI undercuts the stream by ~5.6 B of
+  /// 256: above ~4e-5 B/ns they would flip to the stream, whose 256 B
+  /// runway fails the bench's 1.10x gate against fixed CPI's 150 B.
   [[nodiscard]] static LinkProfile lossy(double loss) {
-    return {loss, 2048, 1.0 / 1024};
+    return {loss, 2048, 1.0 / 65536};
   }
 };
 
@@ -112,6 +158,13 @@ template <Symbol T>
 /// Frame header worst case (type + uvarint sid + uvarint len).
 inline constexpr std::size_t kFrameHeaderSlop = 16;
 
+/// The largest d^ the model is ever handed. A DONE's diff count is any
+/// u64 a peer sends, so it is clamped on its way into the EWMA, and the
+/// engine clamps the d^ it hands the model (probe and default included):
+/// past this the EWMA's rounding cast, pace_cap_for's scaling and the CPI
+/// ladder's bit_ceil overflow. No set one engine serves comes near it.
+inline constexpr std::uint64_t kMaxDiffEstimate = std::uint64_t{1} << 32;
+
 /// The one-shot CPI capacity for an estimated difference: the same
 /// power-of-two ladder the fixed escalation walks, picked up front (a 12%
 /// margin absorbs estimate error; the decoder still escalates if it was
@@ -136,11 +189,12 @@ template <Symbol T>
   return T::kSize == 8 && cpi_capacity_for(d, config) <= kMaxAdaptiveCpiCapacity;
 }
 
-/// Predicted cost surfaces for one backend at one estimated d.
+/// Predicted cost surfaces for one backend at one estimated d; the
+/// LinkProfile's rates turn them into one byte-equivalent scalar.
 struct CostEstimate {
   double bytes = 0;   ///< session wire bytes, both directions
   double rounds = 0;  ///< blocking round trips before completion
-  double cpu = 0;     ///< codec work units (hashes / cells / GF ops)
+  double cpu = 0;     ///< serving-side CPU, ns (the kServeNs* constants)
 };
 
 /// The pacing runway granted to a rateless session (0 would mean unpaced;
@@ -164,8 +218,9 @@ template <Symbol T>
 }
 
 /// Prices one backend at one estimated d. `set_size` is the server set
-/// (the CPU surfaces scale with it); formulas mirror reconciler.hpp's
-/// actual sizing so the ranking tracks the measured byte surface.
+/// (the table backends' serving CPU scales with it); formulas mirror
+/// reconciler.hpp's actual sizing so the ranking tracks the measured byte
+/// surface.
 template <Symbol T>
 [[nodiscard]] CostEstimate estimate_cost(BackendId backend, std::uint64_t d,
                                          std::size_t set_size,
@@ -188,7 +243,8 @@ template <Symbol T>
           pace_cap_for<T>(d, checksum_len, opts));
       out.bytes = std::max(runway, stream * 1.05 + runway / 2);
       out.rounds = 0;  // credits pipeline; they never block the stream
-      out.cpu = 3.0 * (1.35 * dd + 1.0) + 16.0;
+      // Every byte streamed is a symbol read off the shared cursor.
+      out.cpu = out.bytes / (cell + 0.5) * kServeNsPerStreamSymbol;
       break;
     }
     case BackendId::kIbltStrata: {
@@ -202,7 +258,7 @@ template <Symbol T>
                            2.0 * dd) * cell;
       out.bytes = estimator + table * 1.1;
       out.rounds = 2;
-      out.cpu = 2.0 * n + 8.0 * dd;
+      out.cpu = n * kServeNsPerIbltItem;
       break;
     }
     case BackendId::kCpi: {
@@ -211,10 +267,10 @@ template <Symbol T>
       out.bytes = cap * 8.0 + 20.0;
       out.rounds = 0.05;  // one-shot capacity; the 12% margin makes the
                           // escalation round trip rare
-      // Encode evaluates the set polynomial at cap points; decode solves a
-      // cap-sized rational system (the O(cap^3) wall kMaxAdaptiveCpi
-      // guards).
-      out.cpu = n * cap * 0.25 + cap * cap * cap / 8.0;
+      // Serving evaluates the set polynomial at cap points. The client's
+      // cap-sized rational solve (the O(cap^3) wall) is what
+      // kMaxAdaptiveCpiCapacity guards.
+      out.cpu = n * cap * kServeNsPerGf64Mul;
       break;
     }
     case BackendId::kMetIblt: {
@@ -231,7 +287,7 @@ template <Symbol T>
       out.bytes =
           static_cast<double>(met.cumulative_cells(level)) * cell + 8;
       out.rounds = static_cast<double>(level) + 1.0;
-      out.cpu = n * met.edges_per_block + 4.0 * dd;
+      out.cpu = n * kServeNsPerMetItem;
       break;
     }
   }
@@ -281,9 +337,11 @@ class PeerEwma {
   explicit PeerEwma(double alpha = 0.25, std::size_t max_peers = 65536)
       : alpha_(alpha), max_peers_(max_peers) {}
 
-  /// Folds one observed diff for a peer (peer id 0 = anonymous: ignored).
+  /// Folds one observed diff for a peer (peer id 0 = anonymous: ignored),
+  /// clamped to kMaxDiffEstimate.
   void observe(std::uint64_t peer_id, std::uint64_t diff) {
     if (peer_id == 0) return;
+    diff = std::min(diff, kMaxDiffEstimate);
     auto it = ewma_.find(peer_id);
     if (it == ewma_.end()) {
       if (ewma_.size() >= max_peers_) ewma_.erase(ewma_.begin());

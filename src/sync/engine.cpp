@@ -257,6 +257,10 @@ EngineCells::EngineCells(obs::MetricsRegistry& m) {
         &m.histogram("riblt_serve_cpu_us",
                      "Serving-side encode/round CPU per call (microseconds; "
                      "emit() calls sampled 1-in-8)",
+                     labels),
+        &m.histogram("riblt_session_duration_us",
+                     "HELLO to outcome per finished session (microseconds, "
+                     "engine clock)",
                      labels)};
   }
   bytes_from_peers = &m.counter("riblt_engine_bytes_from_peers_total",

@@ -348,6 +348,7 @@ struct EngineCells {
     obs::Histogram* bytes_to_peer = nullptr;
     obs::Histogram* rounds = nullptr;
     obs::Histogram* cpu_us = nullptr;  ///< per-call encode/round CPU
+    obs::Histogram* duration_us = nullptr;  ///< HELLO to outcome
   };
 
   explicit EngineCells(obs::MetricsRegistry& m);
@@ -625,7 +626,7 @@ class SyncEngine {
         std::uint64_t d_est = 0;
         BackendId backend = requested;
         if (adaptive) {
-          d_est = estimate_diff(frame);
+          d_est = std::min(estimate_diff(frame), adaptive::kMaxDiffEstimate);
           backend = adaptive::choose_backend<T>(
               requested, d_est, index_.size(), frame.checksum_len,
               options_.config, options_.adaptive, options_.link);
@@ -689,6 +690,7 @@ class SyncEngine {
         if (shed && !shed_one()) throw ProtocolError("session limit reached");
         const double opened_at = now_s();
         session.last_activity = opened_at;
+        session.opened_at = opened_at;
         sessions_.emplace(frame.session_id, std::move(session));
         if (shed) prune_cache_journal(/*force=*/true);
         cells_.backend(backend).opened->inc();
@@ -999,6 +1001,7 @@ class SyncEngine {
     /// now_s() at the last inbound frame (HELLO included): what reap_idle
     /// and cap-shedding measure idleness against.
     double last_activity = 0;
+    double opened_at = 0;  ///< now_s() at the HELLO
   };
 
   /// The adaptive d^ for a HELLO: probe digest if carried (a valid digest
@@ -1120,12 +1123,18 @@ class SyncEngine {
   }
 
   /// The one accounting step: a session turning terminal books its
-  /// outcome and its byte, frame, and round sums into the cells, once.
+  /// outcome, its duration, and its byte, frame, and round sums into the
+  /// cells, once.
   void settle(Session& session, SessionState outcome) {
     SessionStats& s = session.stats;
     s.state = outcome;
     const EngineCells::Backend& c = cells_.backend(s.backend);
     (outcome == SessionState::kDone ? c.done : c.failed)->inc();
+    // HELLO to outcome on the engine's clock; a clock that steps back
+    // records 0.
+    const double us = (now_s() - session.opened_at) * 1e6;
+    c.duration_us->record(
+        us > 0 ? static_cast<std::uint64_t>(std::min(us, 1e18)) : 0);
     c.bytes_to_peer->record(s.bytes_to_peer);
     c.rounds->record(s.rounds);
     cells_.bytes_from_peers->inc(s.bytes_from_peer);

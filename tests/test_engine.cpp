@@ -823,12 +823,14 @@ TEST(Engine, AdaptiveFallsBackCleanlyWhenEitherSideOptsOut) {
 }
 
 TEST(Engine, AdaptiveGrantPicksCpiForTinyDiffAndStillReconciles) {
-  // 8-byte items, d = 5, loopback link class: the cost model's cheapest
-  // candidate is one-shot CPI with a probe-sized capacity, even though the
-  // client requested the rateless stream -- and the adopted backend
-  // recovers the identical diff.
+  // 8-byte items, d = 5, a thin link where bytes dominate: the cost
+  // model's cheapest candidate is one-shot CPI with a probe-sized
+  // capacity, even though the client requested the rateless stream -- and
+  // the adopted backend recovers the identical diff.
   const auto w = make_set_pair<U64Symbol>(300, 3, 2, 62);
-  SyncEngine<U64Symbol> engine;  // link defaults to loopback
+  EngineOptions options;
+  options.link = adaptive::LinkProfile::lossy(0);
+  SyncEngine<U64Symbol> engine({}, options);
   for (const auto& x : w.a) engine.add_item(x);
   SyncClient<U64Symbol> client(1, BackendId::kRiblt);
   client.set_adaptive(0x1001);  // probe attached by default
@@ -845,6 +847,121 @@ TEST(Engine, AdaptiveGrantPicksCpiForTinyDiffAndStillReconciles) {
   CHECK_EQ(stats->pace_cap, 0u);  // only the rateless stream gets paced
   CHECK(stats->rounds <= 1u);     // one-shot capacity: escalation is rare
   expect_diff_matches(client.diff(), w);
+}
+
+TEST(Engine, LoopbackGrantsTheStreamAtEveryDefaultDiff) {
+  // A ribltbench `small` shard: 5000 items on loopback. Priced in serving
+  // ns, CPI's n x cap multiplies never pay for the bytes it saves here,
+  // so every probe-less adaptive HELLO is granted the rateless stream.
+  const SipHasher<U64Symbol> hasher;
+  std::vector<HashedSymbol<U64Symbol>> items;
+  for (std::uint64_t i = 1; i <= 5000; ++i) {
+    items.push_back(hasher.hashed(U64Symbol::random(i)));
+  }
+  for (const std::uint64_t d : {1, 4, 8, 12, 16, 24, 32, 48, 56, 100}) {
+    EngineOptions options;
+    options.adaptive.default_d = d;
+    SyncEngine<U64Symbol> engine({}, options);
+    for (const auto& hs : items) engine.add_hashed_item(hs);
+    SyncClient<U64Symbol> client(1, BackendId::kRiblt);
+    client.set_adaptive(0x6006, /*send_probe=*/false);
+    REQUIRE_EQ(engine.handle_frame(client.hello()).size(), 1u);
+    const SessionStats* stats = engine.session(1);
+    REQUIRE(stats != nullptr);
+    CHECK_EQ(stats->d_estimate, d);
+    CHECK(stats->backend == BackendId::kRiblt);
+  }
+}
+
+TEST(Engine, CostModelPicksByLinkClass) {
+  // The grant grid, deterministic (no timing). Loopback prices a serving
+  // ns at what the transport spends per wire byte: the stream wins at
+  // every ribltbench per-shard set size and d^. A thin link makes bytes
+  // dominate: CPI wins the adaptive bench's d <= 100 cells (n = 200 shared
+  // items + d - d/2 of the server's own), the stream its d = 1000 cell.
+  const ReconcilerConfig config{};
+  const adaptive::AdaptiveOptions opts{};
+  const auto pick = [&](std::uint64_t d, std::size_t n,
+                        const adaptive::LinkProfile& link) {
+    return adaptive::choose_backend<U64Symbol>(BackendId::kRiblt, d, n, 8,
+                                               config, opts, link);
+  };
+  std::size_t not_stream = 0;
+  for (const std::size_t n : {2500, 5000, 10000, 50000}) {
+    for (std::uint64_t d = 1; d <= 2500; ++d) {
+      if (pick(d, n, adaptive::LinkProfile::loopback()) != BackendId::kRiblt) {
+        ++not_stream;
+      }
+    }
+  }
+  CHECK_EQ(not_stream, 0u);
+  for (const double loss : {0.0, 0.01, 0.05}) {
+    const auto thin = adaptive::LinkProfile::lossy(loss);
+    CHECK(pick(1, 201, thin) == BackendId::kCpi);
+    CHECK(pick(10, 205, thin) == BackendId::kCpi);
+    CHECK(pick(100, 250, thin) == BackendId::kCpi);
+    CHECK(pick(1000, 2500, thin) == BackendId::kRiblt);
+  }
+}
+
+TEST(Engine, PeerReportedDiffIsClampedBeforeTheModel) {
+  // A DONE's diff count is any u64 the peer sends. Unclamped, the next
+  // probe-less HELLO from that peer overflowed the EWMA's rounding cast,
+  // pace_cap_for's scaling and the CPI ladder's bit_ceil (undefined
+  // behaviour); clamped, it is granted with d^ at the bound.
+  SyncEngine<U64Symbol> engine;
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    engine.add_item(U64Symbol::random(i));
+  }
+  std::uint64_t sid = 0;
+  for (const std::uint64_t reported :
+       {~std::uint64_t{0}, std::uint64_t{1} << 63, std::uint64_t{1} << 60}) {
+    const std::uint64_t peer = 0x7000 + sid;
+    SyncClient<U64Symbol> first(++sid, BackendId::kRiblt);
+    first.set_adaptive(peer, /*send_probe=*/false);
+    REQUIRE_EQ(engine.handle_frame(first.hello()).size(), 1u);
+    v2::Frame done;
+    done.type = v2::FrameType::kDone;
+    done.session_id = sid;
+    done.diff_count = reported;
+    CHECK(engine.handle_frame(v2::encode_frame(done)).empty());
+
+    SyncClient<U64Symbol> next(++sid, BackendId::kRiblt);
+    next.set_adaptive(peer, /*send_probe=*/false);
+    for (const auto& r : engine.handle_frame(next.hello())) {
+      (void)next.handle_frame(r);
+    }
+    REQUIRE(next.adaptive_granted());
+    CHECK_EQ(next.d_estimate(), adaptive::kMaxDiffEstimate);
+    CHECK_EQ(engine.session(sid)->d_estimate, adaptive::kMaxDiffEstimate);
+  }
+}
+
+TEST(Engine, SessionDurationIsRecordedOnTheEngineClock) {
+  // riblt_session_duration_us{backend}: HELLO to outcome, once, on the
+  // engine's clock.
+  double now = 1.0;
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.clock = [&now] { return now; };
+  options.metrics = &registry;
+  SyncEngine<U64Symbol> engine({}, options);
+  engine.add_item(U64Symbol::random(1));
+  SyncClient<U64Symbol> client(1, BackendId::kRiblt);
+  REQUIRE_EQ(engine.handle_frame(client.hello()).size(), 1u);
+  now = 1.25;
+  v2::Frame done;
+  done.type = v2::FrameType::kDone;
+  done.session_id = 1;
+  CHECK(engine.handle_frame(v2::encode_frame(done)).empty());
+  now = 9.0;
+  CHECK(engine.close_session(1));  // already settled: not booked again
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const auto* series =
+      snap.find_series("riblt_session_duration_us", {{"backend", "riblt"}});
+  REQUIRE(series != nullptr);
+  CHECK_EQ(series->hist.count, 1u);
+  CHECK_EQ(series->hist.sum, 250000u);
 }
 
 TEST(Engine, PeerEwmaConvergesOverRepeatedSessions) {

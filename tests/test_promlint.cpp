@@ -249,6 +249,7 @@ const FamilySet kEngineFamilies = {
     {"riblt_engine_items_removed_total", "counter"},
     {"riblt_serve_cpu_us", "histogram"},
     {"riblt_session_bytes_to_peer", "histogram"},
+    {"riblt_session_duration_us", "histogram"},
     {"riblt_session_rounds", "histogram"},
     {"riblt_sessions_done_total", "counter"},
     {"riblt_sessions_evicted_total", "counter"},
