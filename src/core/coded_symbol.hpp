@@ -5,13 +5,32 @@
 // negative counts appear only in *difference* cells, after subtraction).
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "core/symbol.hpp"
 
 namespace ribltx {
+
+/// Count arithmetic wraps (two's complement, through the unsigned type).
+/// Counts arrive from peers as any integer, where a signed add could
+/// overflow (undefined behaviour); peeling only compares a count with 0 and
+/// +/-1, so honest streams decode bit-identically, and the add stays one
+/// instruction.
+template <std::signed_integral I>
+[[nodiscard]] constexpr I wrapping_add(I a, I b) noexcept {
+  using U = std::make_unsigned_t<I>;
+  return static_cast<I>(static_cast<U>(a) + static_cast<U>(b));
+}
+
+template <std::signed_integral I>
+[[nodiscard]] constexpr I wrapping_sub(I a, I b) noexcept {
+  using U = std::make_unsigned_t<I>;
+  return static_cast<I>(static_cast<U>(a) - static_cast<U>(b));
+}
 
 /// Direction in which a source symbol is applied to a cell. XOR is its own
 /// inverse, so `sum`/`checksum` updates are identical either way; only
@@ -36,14 +55,14 @@ struct CodedSymbol {
   void apply(const HashedSymbol<T>& s, Direction dir) noexcept {
     sum ^= s.symbol;
     checksum ^= s.hash;
-    count += static_cast<std::int64_t>(dir);
+    count = wrapping_add(count, static_cast<std::int64_t>(dir));
   }
 
   /// Cell-wise subtraction (paper §3): IBLT(A) - IBLT(B) = IBLT(A diff B).
   void subtract(const CodedSymbol& other) noexcept {
     sum ^= other.sum;
     checksum ^= other.checksum;
-    count -= other.count;
+    count = wrapping_sub(count, other.count);
   }
 
   friend CodedSymbol operator-(CodedSymbol a, const CodedSymbol& b) noexcept {

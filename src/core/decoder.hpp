@@ -246,7 +246,7 @@ class Decoder {
     Cell& c = cells_[ci];
     c.sum ^= sym.symbol;
     c.checksum = (c.checksum ^ sym.hash) & checksum_mask_;
-    c.count += static_cast<std::int32_t>(dir);
+    c.count = wrapping_add(c.count, static_cast<std::int32_t>(dir));
   }
 
   void peel() {

@@ -132,8 +132,9 @@ template <Symbol T>
     CodedSymbol<T>& cell = out.cells[static_cast<std::size_t>(i)];
     r.copy_to(cell.sum.data.data(), T::kSize);
     cell.checksum = (checksum_len == 8) ? r.u64() : r.u32();
-    cell.count = out.has_counts ? r.svarint() + expected_count(set_size, i)
-                                : 0;
+    cell.count = out.has_counts
+                     ? wrapping_add(r.svarint(), expected_count(set_size, i))
+                     : 0;
   }
   return out;
 }
@@ -206,7 +207,8 @@ template <Symbol T>
   CodedSymbol<T> cell;
   r.copy_to(cell.sum.data.data(), T::kSize);
   cell.checksum = (checksum_len == 8) ? r.u64() : r.u32();
-  cell.count = r.svarint() + expected_count(anchor_set_size, stream_index);
+  cell.count = wrapping_add(r.svarint(),
+                            expected_count(anchor_set_size, stream_index));
   return cell;
 }
 

@@ -77,7 +77,7 @@ class Iblt {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       cells_[i].sum ^= other.cells_[i].sum;
       cells_[i].checksum ^= other.cells_[i].checksum;
-      cells_[i].count += other.cells_[i].count;
+      cells_[i].count = wrapping_add(cells_[i].count, other.cells_[i].count);
     }
     return *this;
   }

@@ -78,11 +78,6 @@ struct SocketServerOptions {
   /// other session on that shard, including the idle-reap sweep). 0 keeps
   /// the historical wait-forever behavior.
   double sink_timeout_s = 0;
-  /// UringServer-only knobs (the epoll server ignores them): disable the
-  /// provided-buffer-ring multishot recv or the MSG_RING wakeup to force
-  /// the single-shot recv / eventfd fallback paths without an old kernel.
-  bool uring_buffer_ring = true;
-  bool uring_msg_ring = true;
   /// Live exposition taps (optional; must outlive the server). The
   /// server's transport counters live in `metrics` (or in a private
   /// registry when it is null), and with it set the in-band ADMIN verbs

@@ -43,8 +43,10 @@ template <typename U>
   return reinterpret_cast<U*>(static_cast<char*>(base) + off);
 }
 
-/// One-shot runtime probe: create a tiny ring, check required opcode
-/// support via IORING_REGISTER_PROBE, tear it down.
+/// One-shot runtime probe: create a tiny ring, check that it has every
+/// setup feature and opcode UringServer uses, tear it down. This is the
+/// one place that decides whether io_uring serves: a kernel lacking any of
+/// them gets the epoll server, never a partially featured ring.
 UringCaps probe_caps() noexcept {
   UringCaps caps;
   if (std::getenv("RIBLT_NO_URING") != nullptr) {
@@ -58,6 +60,15 @@ UringCaps probe_caps() noexcept {
                   : errno == EPERM
                       ? "io_uring_setup: EPERM (seccomp/sysctl denied)"
                       : "io_uring_setup failed";
+    return caps;
+  }
+  // Uring maps the SQ and CQ rings as one region and relies on the kernel
+  // keeping overflowed completions rather than dropping them.
+  constexpr std::uint32_t kFeatures =
+      IORING_FEAT_SINGLE_MMAP | IORING_FEAT_NODROP;
+  if ((p.features & kFeatures) != kFeatures) {
+    caps.reason = "kernel lacks IORING_FEAT_SINGLE_MMAP or IORING_FEAT_NODROP";
+    ::close(fd);
     return caps;
   }
   // Opcode probe (5.6+). A kernel too old to probe is too old to serve.
@@ -75,20 +86,21 @@ UringCaps probe_caps() noexcept {
     ::close(fd);
     return caps;
   }
+  // No opcode names multishot recv, the provided-buffer ring, multishot
+  // accept or IORING_ASYNC_CANCEL_ANY, so SEND_ZC stands in for them: it
+  // arrived in Linux 6.0 together with multishot recv, and the others came
+  // earlier (5.19). The proxy errs toward epoll: a kernel with all four
+  // but no SEND_ZC serves epoll, and no mainline kernel has SEND_ZC
+  // without them.
   if (!supported(IORING_OP_ACCEPT) || !supported(IORING_OP_RECV) ||
       !supported(IORING_OP_SENDMSG) || !supported(IORING_OP_ASYNC_CANCEL) ||
-      !supported(IORING_OP_TIMEOUT) || !supported(IORING_OP_READ)) {
+      !supported(IORING_OP_TIMEOUT) || !supported(IORING_OP_MSG_RING) ||
+      !supported(IORING_OP_SEND_ZC)) {
     caps.reason = "kernel lacks a required io_uring opcode";
     ::close(fd);
     return caps;
   }
   caps.available = true;
-  caps.msg_ring = supported(IORING_OP_MSG_RING);
-  // IORING_ASYNC_CANCEL_ANY landed with the same 5.19 batch as the
-  // provided-buffer ring; probed indirectly via MSG_RING (5.18) being the
-  // closest probeable op. A false positive only costs the teardown path a
-  // fallback to per-op cancels (an -EINVAL completion).
-  caps.cancel_any = caps.msg_ring;
   ::close(fd);
   return caps;
 }
@@ -115,75 +127,58 @@ Uring::Uring(unsigned sq_entries, unsigned cq_entries) {
   fd_ = sys_io_uring_setup(sq_entries, &p);
   if (fd_ < 0) throw_errno("io_uring_setup");
 
-  sq_mmap_len_ = p.sq_off.array + p.sq_entries * sizeof(std::uint32_t);
-  cq_mmap_len_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-  const bool single =
-      (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-  if (single) {
-    sq_mmap_len_ = cq_mmap_len_ =
-        sq_mmap_len_ > cq_mmap_len_ ? sq_mmap_len_ : cq_mmap_len_;
-  }
-  sq_mmap_ = ::mmap(nullptr, sq_mmap_len_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, fd_, IORING_OFF_SQ_RING);
-  if (sq_mmap_ == MAP_FAILED) {
+  // One mapping holds both rings (IORING_FEAT_SINGLE_MMAP, which the probe
+  // requires): as long as the longer of the two.
+  const std::size_t sq_len =
+      p.sq_off.array + p.sq_entries * sizeof(std::uint32_t);
+  const std::size_t cq_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
+  ring_mmap_len_ = sq_len > cq_len ? sq_len : cq_len;
+  ring_mmap_ = ::mmap(nullptr, ring_mmap_len_, PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_POPULATE, fd_, IORING_OFF_SQ_RING);
+  if (ring_mmap_ == MAP_FAILED) {
     const int saved = errno;
     ::close(fd_);
     errno = saved;
-    throw_errno("mmap(SQ ring)");
-  }
-  cq_mmap_ = single ? sq_mmap_
-                    : ::mmap(nullptr, cq_mmap_len_, PROT_READ | PROT_WRITE,
-                             MAP_SHARED | MAP_POPULATE, fd_,
-                             IORING_OFF_CQ_RING);
-  if (cq_mmap_ == MAP_FAILED) {
-    const int saved = errno;
-    ::munmap(sq_mmap_, sq_mmap_len_);
-    ::close(fd_);
-    errno = saved;
-    throw_errno("mmap(CQ ring)");
+    throw_errno("mmap(SQ/CQ rings)");
   }
   sqe_mmap_len_ = p.sq_entries * sizeof(io_uring_sqe);
   sqe_mmap_ = ::mmap(nullptr, sqe_mmap_len_, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_POPULATE, fd_, IORING_OFF_SQES);
   if (sqe_mmap_ == MAP_FAILED) {
     const int saved = errno;
-    if (cq_mmap_ != sq_mmap_) ::munmap(cq_mmap_, cq_mmap_len_);
-    ::munmap(sq_mmap_, sq_mmap_len_);
+    ::munmap(ring_mmap_, ring_mmap_len_);
     ::close(fd_);
     errno = saved;
     throw_errno("mmap(SQEs)");
   }
 
   sqes_ = static_cast<io_uring_sqe*>(sqe_mmap_);
-  sq_head_ = ring_ptr<unsigned>(sq_mmap_, p.sq_off.head);
-  sq_tail_ = ring_ptr<unsigned>(sq_mmap_, p.sq_off.tail);
-  sq_mask_ = *ring_ptr<unsigned>(sq_mmap_, p.sq_off.ring_mask);
+  sq_head_ = ring_ptr<unsigned>(ring_mmap_, p.sq_off.head);
+  sq_tail_ = ring_ptr<unsigned>(ring_mmap_, p.sq_off.tail);
+  sq_mask_ = *ring_ptr<unsigned>(ring_mmap_, p.sq_off.ring_mask);
   sq_entries_ = p.sq_entries;
   local_tail_ = *sq_tail_;
   submitted_ = local_tail_;
   // Identity SQ index array: slot i of the array always names SQE i, and
   // the SQE for a submission is chosen as (tail & mask).
-  unsigned* sq_array = ring_ptr<unsigned>(sq_mmap_, p.sq_off.array);
+  unsigned* sq_array = ring_ptr<unsigned>(ring_mmap_, p.sq_off.array);
   for (unsigned i = 0; i < p.sq_entries; ++i) sq_array[i] = i;
 
-  cqes_ = ring_ptr<io_uring_cqe>(cq_mmap_, p.cq_off.cqes);
-  cq_head_ = ring_ptr<unsigned>(cq_mmap_, p.cq_off.head);
-  cq_tail_ = ring_ptr<unsigned>(cq_mmap_, p.cq_off.tail);
-  cq_mask_ = *ring_ptr<unsigned>(cq_mmap_, p.cq_off.ring_mask);
+  cqes_ = ring_ptr<io_uring_cqe>(ring_mmap_, p.cq_off.cqes);
+  cq_head_ = ring_ptr<unsigned>(ring_mmap_, p.cq_off.head);
+  cq_tail_ = ring_ptr<unsigned>(ring_mmap_, p.cq_off.tail);
+  cq_mask_ = *ring_ptr<unsigned>(ring_mmap_, p.cq_off.ring_mask);
 }
 
 Uring::~Uring() {
   if (br_ != nullptr) {
     io_uring_buf_reg reg{};
-    reg.bgid = 0;
+    reg.bgid = br_bgid_;
     (void)sys_io_uring_register(fd_, IORING_UNREGISTER_PBUF_RING, &reg, 1);
     ::munmap(br_, br_mmap_len_);
   }
   if (sqe_mmap_ != nullptr) ::munmap(sqe_mmap_, sqe_mmap_len_);
-  if (cq_mmap_ != nullptr && cq_mmap_ != sq_mmap_) {
-    ::munmap(cq_mmap_, cq_mmap_len_);
-  }
-  if (sq_mmap_ != nullptr) ::munmap(sq_mmap_, sq_mmap_len_);
+  if (ring_mmap_ != nullptr) ::munmap(ring_mmap_, ring_mmap_len_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -210,7 +205,8 @@ int Uring::enter(unsigned to_submit, unsigned min_complete, unsigned flags) {
     r = sys_io_uring_enter(fd_, to_submit, min_complete, flags);
   } while (r < 0 && errno == EINTR);
   if (r < 0 && errno == EBUSY) {
-    // CQ overflow backlog (pre-NODROP kernels): flush completions, retry.
+    // CQ overflow backlog the kernel could not flush into the CQ (NODROP
+    // kernels still report it this way): flush completions, retry.
     do {
       r = sys_io_uring_enter(fd_, to_submit, min_complete,
                              flags | IORING_ENTER_GETEVENTS);
@@ -260,22 +256,25 @@ std::size_t Uring::reap(std::span<Cqe> out) noexcept {
 
 // ------------------------------------------------- provided-buffer ring
 
-bool Uring::setup_buf_ring(std::uint16_t bgid, unsigned entries,
+void Uring::setup_buf_ring(std::uint16_t bgid, unsigned entries,
                            std::size_t buf_size) {
-  br_mmap_len_ = entries * sizeof(io_uring_buf);
-  void* mem = ::mmap(nullptr, br_mmap_len_, PROT_READ | PROT_WRITE,
+  const std::size_t len = entries * sizeof(io_uring_buf);
+  void* mem = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                      MAP_ANONYMOUS | MAP_PRIVATE, -1, 0);
-  if (mem == MAP_FAILED) return false;
+  if (mem == MAP_FAILED) throw_errno("mmap(buffer ring)");
   io_uring_buf_reg reg{};
   reg.ring_addr = reinterpret_cast<std::uint64_t>(mem);
   reg.ring_entries = entries;
   reg.bgid = bgid;
   if (sys_io_uring_register(fd_, IORING_REGISTER_PBUF_RING, &reg, 1) < 0) {
-    ::munmap(mem, br_mmap_len_);
-    br_mmap_len_ = 0;
-    return false;  // pre-5.19 kernel: single-shot recv fallback
+    const int saved = errno;
+    ::munmap(mem, len);
+    errno = saved;
+    throw_errno("IORING_REGISTER_PBUF_RING");
   }
   br_ = static_cast<io_uring_buf_ring*>(mem);
+  br_mmap_len_ = len;
+  br_bgid_ = bgid;
   br_entries_ = entries;
   br_buf_size_ = buf_size;
   br_tail_ = 0;
@@ -283,7 +282,6 @@ bool Uring::setup_buf_ring(std::uint16_t bgid, unsigned entries,
   for (unsigned i = 0; i < entries; ++i) {
     recycle_buffer(static_cast<std::uint16_t>(i));
   }
-  return true;
 }
 
 std::span<std::byte> Uring::buffer(std::uint16_t bid) noexcept {
@@ -310,11 +308,11 @@ void Uring::recycle_buffer(std::uint16_t bid) noexcept {
 
 // ------------------------------------------------------- prep helpers
 
-void Uring::prep_accept(io_uring_sqe& s, int listen_fd, bool multishot,
+void Uring::prep_accept(io_uring_sqe& s, int listen_fd,
                         std::uint64_t user_data) noexcept {
   s.opcode = IORING_OP_ACCEPT;
   s.fd = listen_fd;
-  if (multishot) s.ioprio = IORING_ACCEPT_MULTISHOT;
+  s.ioprio = IORING_ACCEPT_MULTISHOT;
   s.accept_flags = SOCK_CLOEXEC;
   s.user_data = user_data;
 }
@@ -329,15 +327,6 @@ void Uring::prep_recv_multishot(io_uring_sqe& s, int fd, std::uint16_t bgid,
   s.user_data = user_data;
 }
 
-void Uring::prep_recv(io_uring_sqe& s, int fd, void* buf, std::size_t len,
-                      std::uint64_t user_data) noexcept {
-  s.opcode = IORING_OP_RECV;
-  s.fd = fd;
-  s.addr = reinterpret_cast<std::uint64_t>(buf);
-  s.len = static_cast<std::uint32_t>(len);
-  s.user_data = user_data;
-}
-
 void Uring::prep_sendmsg(io_uring_sqe& s, int fd, const msghdr* msg,
                          std::uint64_t user_data) noexcept {
   s.opcode = IORING_OP_SENDMSG;
@@ -345,15 +334,6 @@ void Uring::prep_sendmsg(io_uring_sqe& s, int fd, const msghdr* msg,
   s.addr = reinterpret_cast<std::uint64_t>(msg);
   s.len = 1;
   s.msg_flags = MSG_NOSIGNAL;
-  s.user_data = user_data;
-}
-
-void Uring::prep_read(io_uring_sqe& s, int fd, void* buf, std::size_t len,
-                      std::uint64_t user_data) noexcept {
-  s.opcode = IORING_OP_READ;
-  s.fd = fd;
-  s.addr = reinterpret_cast<std::uint64_t>(buf);
-  s.len = static_cast<std::uint32_t>(len);
   s.user_data = user_data;
 }
 
@@ -392,8 +372,7 @@ void Uring::prep_cancel_all(io_uring_sqe& s,
 namespace ribltx::net {
 
 namespace {
-const UringCaps kNoUring{false, false, false,
-                         "built without <linux/io_uring.h>"};
+const UringCaps kNoUring{false, "built without <linux/io_uring.h>"};
 }  // namespace
 
 bool uring_available() noexcept { return false; }

@@ -11,18 +11,21 @@
 //                on the fallback path unchanged.
 //
 //   run time:    uring_available() creates and destroys a tiny ring once
-//                (cached): io_uring_setup failing with ENOSYS (old kernel)
-//                or EPERM (seccomp, e.g. default Docker profiles) means
-//                the epoll path is the best available server. The
-//                RIBLT_NO_URING environment variable forces "unavailable"
-//                for fallback testing without a rebuild.
+//                (cached) and passes only when the kernel offers every
+//                feature the server uses (see probe_caps() in uring.cpp:
+//                in practice Linux >= 6.0). io_uring_setup failing with
+//                ENOSYS (old kernel) or EPERM (seccomp, e.g. default
+//                Docker profiles), a missing feature bit or opcode, or the
+//                RIBLT_NO_URING environment variable (fallback testing
+//                without a rebuild) all mean the epoll server serves. There
+//                is no partially featured ring.
 //
 // The wrapper is deliberately small: SQE acquisition with auto-flush, CQE
 // reaping, a provided-buffer ring (IORING_REGISTER_PBUF_RING) for
 // multishot recv, and static prep helpers for exactly the ops the server
 // uses. Ring state is single-threaded (the serving loop owns it); cross-
 // thread wakeups go through a separate mutex-guarded sender ring
-// (IORING_OP_MSG_RING) or an eventfd, never through this ring's SQ.
+// (IORING_OP_MSG_RING), never through this ring's SQ.
 #pragma once
 
 #include <atomic>
@@ -43,16 +46,15 @@ namespace ribltx::net {
 
 /// Per-process io_uring capability summary (see uring_caps()).
 struct UringCaps {
-  bool available = false;        ///< setup + required opcodes all present
-  bool msg_ring = false;         ///< IORING_OP_MSG_RING (eventfd-free wakeup)
-  bool cancel_any = false;       ///< IORING_ASYNC_CANCEL_ANY teardown
-  const char* reason = "";       ///< why unavailable (empty when available)
+  bool available = false;   ///< every feature the server uses is present
+  const char* reason = "";  ///< why unavailable (empty when available)
 };
 
-/// Cached runtime probe: can this process create and drive an io_uring?
-/// False on old kernels (ENOSYS), seccomp denials (EPERM), missing
-/// required opcodes, builds without <linux/io_uring.h>, and when the
-/// RIBLT_NO_URING environment variable is set (forced-fallback testing).
+/// Cached runtime probe: can this process create and drive an io_uring
+/// with every feature UringServer uses? False on old kernels (ENOSYS),
+/// seccomp denials (EPERM), a missing setup feature or opcode, builds
+/// without <linux/io_uring.h>, and when the RIBLT_NO_URING environment
+/// variable is set (forced-fallback testing).
 [[nodiscard]] bool uring_available() noexcept;
 
 /// The full capability record behind uring_available().
@@ -82,9 +84,10 @@ class Uring {
   };
 
   /// Creates the ring (throws std::system_error when the kernel refuses;
-  /// callers should gate on uring_available()). `cq_entries` 0 = kernel
-  /// default (2x SQ); the server passes a deep CQ because multishot ops
-  /// complete many times per SQE.
+  /// callers gate on uring_available(), which also vouches for the
+  /// single-mmap ring layout this maps). `cq_entries` 0 = kernel default
+  /// (2x SQ); the server passes a deep CQ because multishot ops complete
+  /// many times per SQE.
   explicit Uring(unsigned sq_entries, unsigned cq_entries = 0);
   ~Uring();
   Uring(const Uring&) = delete;
@@ -110,13 +113,10 @@ class Uring {
   // ------------------------------------------------- provided-buffer ring
 
   /// Registers a provided-buffer ring (group `bgid`, `entries` buffers of
-  /// `buf_size` bytes, entries must be a power of two). False when the
-  /// kernel lacks IORING_REGISTER_PBUF_RING -- callers fall back to
-  /// per-connection single-shot recv.
-  [[nodiscard]] bool setup_buf_ring(std::uint16_t bgid, unsigned entries,
-                                    std::size_t buf_size);
-
-  [[nodiscard]] bool has_buf_ring() const noexcept { return br_ != nullptr; }
+  /// `buf_size` bytes, entries must be a power of two). At most once per
+  /// ring; throws std::system_error when the kernel refuses.
+  void setup_buf_ring(std::uint16_t bgid, unsigned entries,
+                      std::size_t buf_size);
 
   /// The payload bytes of provided buffer `bid` (valid ids only).
   [[nodiscard]] std::span<std::byte> buffer(std::uint16_t bid) noexcept;
@@ -126,20 +126,16 @@ class Uring {
 
   // ------------------------------------------------------- prep helpers
 
-  static void prep_accept(io_uring_sqe& s, int listen_fd, bool multishot,
+  /// Multishot accept: one SQE, one CQE per accepted connection.
+  static void prep_accept(io_uring_sqe& s, int listen_fd,
                           std::uint64_t user_data) noexcept;
   /// Multishot recv via the provided-buffer ring (buffer group `bgid`).
   static void prep_recv_multishot(io_uring_sqe& s, int fd, std::uint16_t bgid,
                                   std::uint64_t user_data) noexcept;
-  /// Single-shot recv into caller-owned memory (stable until completion).
-  static void prep_recv(io_uring_sqe& s, int fd, void* buf, std::size_t len,
-                        std::uint64_t user_data) noexcept;
   /// sendmsg (MSG_NOSIGNAL); `msg` and its iovecs must stay stable until
   /// the completion arrives.
   static void prep_sendmsg(io_uring_sqe& s, int fd, const msghdr* msg,
                            std::uint64_t user_data) noexcept;
-  static void prep_read(io_uring_sqe& s, int fd, void* buf, std::size_t len,
-                        std::uint64_t user_data) noexcept;
   /// Relative timeout; `ts` must stay stable until completion.
   static void prep_timeout(io_uring_sqe& s, __kernel_timespec* ts,
                            std::uint64_t user_data) noexcept;
@@ -167,9 +163,9 @@ class Uring {
   int enter(unsigned to_submit, unsigned min_complete, unsigned flags);
 
   int fd_ = -1;
-  // SQ ring.
-  void* sq_mmap_ = nullptr;
-  std::size_t sq_mmap_len_ = 0;
+  // SQ and CQ rings share one mapping (IORING_FEAT_SINGLE_MMAP).
+  void* ring_mmap_ = nullptr;
+  std::size_t ring_mmap_len_ = 0;
   void* sqe_mmap_ = nullptr;
   std::size_t sqe_mmap_len_ = 0;
   io_uring_sqe* sqes_ = nullptr;
@@ -179,15 +175,13 @@ class Uring {
   unsigned sq_entries_ = 0;
   unsigned local_tail_ = 0;      ///< app-side tail (published on submit)
   unsigned submitted_ = 0;       ///< SQEs the kernel has consumed
-  // CQ ring.
-  void* cq_mmap_ = nullptr;      ///< == sq_mmap_ under FEAT_SINGLE_MMAP
-  std::size_t cq_mmap_len_ = 0;
   io_uring_cqe* cqes_ = nullptr;
   unsigned* cq_head_ = nullptr;
   unsigned* cq_tail_ = nullptr;
   unsigned cq_mask_ = 0;
   // Provided-buffer ring.
   io_uring_buf_ring* br_ = nullptr;
+  std::uint16_t br_bgid_ = 0;    ///< the group setup_buf_ring registered
   std::size_t br_mmap_len_ = 0;
   unsigned br_entries_ = 0;
   std::uint16_t br_tail_ = 0;

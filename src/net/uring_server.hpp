@@ -18,18 +18,20 @@
 //             gather per connection re-armed on completion is short-write
 //             safe and still batches all connections into one submit.
 //   wakeup    shard workers nudge the serving thread via IORING_OP_MSG_RING
-//             on a shared sender ring (a CQE, no eventfd round trip), or
-//             an eventfd read SQE where MSG_RING is unavailable. Both are
+//             on a shared sender ring (a CQE, no eventfd round trip),
 //             coalesced to one wakeup per drain cycle.
 //   close     io_uring ops hold a reference to the file, so close() alone
 //             neither cancels them nor closes the socket. Teardown is
 //             shutdown(SHUT_RDWR) -> pending ops error out -> the conn is
 //             erased once its last in-flight op completes.
 //
-// Every caller that wants "best available server" should use AnyServer
-// (bottom of this header): it instantiates UringServer when the build has
-// <linux/io_uring.h> AND the runtime probe passes (kernel support, no
-// seccomp denial, RIBLT_NO_URING unset), else the epoll SocketServer.
+// The server needs every one of these features: uring_available()
+// (net/uring.hpp) is the one gate, and the constructor throws when it
+// fails. Every caller that wants "best available server" should use
+// AnyServer (bottom of this header): it instantiates UringServer when the
+// build has <linux/io_uring.h> AND the runtime probe passes (every feature
+// present, no seccomp denial, RIBLT_NO_URING unset), else the epoll
+// SocketServer.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +54,9 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 namespace ribltx::net {
 
@@ -62,25 +64,26 @@ template <Symbol T, typename Hasher = SipHasher<T>>
 class UringServer {
  public:
   /// Binds the listener immediately (port() valid before start()) and
-  /// creates the ring, so construction throws -- rather than start()
-  /// failing later -- when io_uring is unusable. Gate on uring_available().
+  /// creates the rings, so construction throws -- rather than start()
+  /// failing later -- when io_uring is unusable (uring_available() false,
+  /// or the kernel refuses a ring). Gate on uring_available().
   explicit UringServer(sync::ShardedEngine<T, Hasher>& engine,
                        SocketServerOptions options = {})
       : core_(engine, options, "uring"), listener_(options.port) {
+    if (!uring_available()) {
+      throw std::runtime_error(
+          std::string("UringServer: io_uring unavailable (") +
+          uring_caps().reason + ")");
+    }
     // Deep CQ: multishot accept/recv complete many times per SQE, and an
     // overflowed CQ stalls the whole ring.
     ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries);
     // The uring data path's only steady-state syscall is io_uring_enter.
     ring_->count_into(core_.cells().syscalls_wait, core_.cells().sqe_submits);
-    use_buf_ring_ = options.uring_buffer_ring &&
-                    ring_->setup_buf_ring(kBufGroup, kBufRingEntries,
-                                          kRecvBufSize);
-    use_msg_ring_ = options.uring_msg_ring && uring_caps().msg_ring;
-    if (use_msg_ring_) {
-      // Tiny sender ring shared by all sink threads (mutex-guarded): its
-      // only job is posting wakeup CQEs onto the serving ring.
-      sender_ring_ = std::make_unique<Uring>(/*sq_entries=*/4);
-    }
+    ring_->setup_buf_ring(kBufGroup, kBufRingEntries, kRecvBufSize);
+    // Tiny sender ring shared by all sink threads (mutex-guarded): its
+    // only job is posting wakeup CQEs onto the serving ring.
+    sender_ring_ = std::make_unique<Uring>(/*sq_entries=*/4);
   }
 
   ~UringServer() { stop(); }
@@ -91,13 +94,6 @@ class UringServer {
   [[nodiscard]] std::uint16_t port() const noexcept {
     return listener_.port();
   }
-
-  /// True when recv goes through the provided-buffer ring (false = the
-  /// single-shot fallback; exposed for tests).
-  [[nodiscard]] bool using_buffer_ring() const noexcept {
-    return use_buf_ring_;
-  }
-  [[nodiscard]] bool using_msg_ring() const noexcept { return use_msg_ring_; }
 
   void start() {
     if (running_) throw std::logic_error("UringServer: already started");
@@ -155,7 +151,6 @@ class UringServer {
     bool recv_armed = false;
     bool send_armed = false;
     bool closing = false;
-    std::vector<std::byte> recv_buf;  ///< single-shot recv fallback only
     // Stable storage for the in-flight sendmsg (the kernel may import the
     // iovec after submission on the async path).
     msghdr msg{};
@@ -163,24 +158,19 @@ class UringServer {
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
-  /// Nudges the serving thread out of submit_and_wait. MSG_RING posts a
-  /// CQE straight onto the serving ring; the fallback writes the eventfd a
-  /// persistent read SQE is parked on. Either way: one syscall (counted by
-  /// the core's coalescing nudge).
+  /// Nudges the serving thread out of submit_and_wait: MSG_RING posts a
+  /// CQE straight onto the serving ring. One syscall (counted by the
+  /// core's coalescing nudge).
   void wake() {
-    if (use_msg_ring_) {
-      const std::lock_guard<std::mutex> lk(sender_mu_);
-      io_uring_sqe* sqe = sender_ring_->get_sqe();
-      Uring::prep_msg_ring(*sqe, ring_->ring_fd(), make_ud(kUdWakeup),
-                           make_ud(kUdWakeup));
-      (void)sender_ring_->submit();
-      // The MSG_RING op posts its own completion on the SENDER ring too;
-      // discard them here or its small CQ overflows after a few wakes.
-      Uring::Cqe scratch[8];
-      while (sender_ring_->reap(scratch) != 0) {
-      }
-    } else {
-      wakeup_.signal();
+    const std::lock_guard<std::mutex> lk(sender_mu_);
+    io_uring_sqe* sqe = sender_ring_->get_sqe();
+    Uring::prep_msg_ring(*sqe, ring_->ring_fd(), make_ud(kUdWakeup),
+                         make_ud(kUdWakeup));
+    (void)sender_ring_->submit();
+    // The MSG_RING op posts its own completion on the SENDER ring too;
+    // discard them here or its small CQ overflows after a few wakes.
+    Uring::Cqe scratch[8];
+    while (sender_ring_->reap(scratch) != 0) {
     }
   }
 
@@ -189,7 +179,6 @@ class UringServer {
   void serve_loop() {
     arm_accept();
     arm_timeout();
-    if (!use_msg_ring_) arm_wakeup_read();
     Uring::Cqe cqes[kReapBatch];
     while (!core_.stopping()) {
       (void)ring_->submit_and_wait(1);
@@ -225,13 +214,7 @@ class UringServer {
         arm_timeout();  // the 200ms stop-flag tick; also re-arms a downed
         if (!accept_armed_) arm_accept();  // accept after transient errors
         break;
-      case kUdWakeup:
-        if (!use_msg_ring_) {
-          inflight_--;
-          wakeup_read_armed_ = false;
-          wakeup_.drain();  // reset the eventfd counter (nonblocking fd)
-          arm_wakeup_read();
-        }
+      case kUdWakeup:  // a MSG_RING nudge: no op of ours was in flight
         break;
       case kUdCancel:
         inflight_--;
@@ -247,13 +230,8 @@ class UringServer {
 
   void on_accept(const Uring::Cqe& cqe) {
     if (cqe.res < 0) {
-      if (cqe.res == -EINVAL && multishot_accept_) {
-        // Kernel predates multishot accept: fall back to one-shot re-arm.
-        multishot_accept_ = false;
-        arm_accept();
-      }
-      // Other errors (EMFILE, ECONNABORTED): the accept SQE is down; the
-      // timeout tick re-arms it, which rate-limits a hot error loop.
+      // EMFILE, ECONNABORTED, ...: the accept SQE is down; the timeout
+      // tick re-arms it, which rate-limits a hot error loop.
       return;
     }
     const int fd = cqe.res;
@@ -264,7 +242,6 @@ class UringServer {
                                        core_.options().max_frame);
     arm_recv(*conn);
     core_.add_conn(std::move(conn));
-    if (!multishot_accept_ && !cqe.more()) arm_accept();
   }
 
   void on_recv(const Uring::Cqe& cqe) {
@@ -287,28 +264,15 @@ class UringServer {
       if (!conn->recv_armed) arm_recv(*conn);
       return;
     }
-    if (cqe.res == -EINVAL && use_buf_ring_) {
-      // Kernel predates multishot recv / buffer selection: drop the whole
-      // server to single-shot recv (per-conn buffers) and carry on.
-      use_buf_ring_ = false;
-      if (!conn->recv_armed) arm_recv(*conn);
-      return;
-    }
-    if (cqe.res <= 0) {
+    if (cqe.res <= 0 || !cqe.has_buffer()) {
       if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
       begin_close(conn);
       maybe_finish_close(conn);
       return;
     }
-    const auto nbytes = static_cast<std::size_t>(cqe.res);
-    std::span<const std::byte> data;
-    std::uint16_t bid = 0;
-    if (cqe.has_buffer()) {
-      bid = cqe.buffer_id();
-      data = ring_->buffer(bid).first(nbytes);
-    } else {
-      data = std::span<const std::byte>(conn->recv_buf.data(), nbytes);
-    }
+    const std::uint16_t bid = cqe.buffer_id();
+    const std::span<const std::byte> data =
+        ring_->buffer(bid).first(static_cast<std::size_t>(cqe.res));
     bool alive = true;
     try {
       conn->conduit.feed(data);
@@ -317,7 +281,7 @@ class UringServer {
       begin_close(conn);
       alive = false;
     }
-    if (cqe.has_buffer()) ring_->recycle_buffer(bid);
+    ring_->recycle_buffer(bid);
     if (alive) {
       while (auto frame = conn->conduit.next_frame()) {
         if (!core_.route_inbound(conn, std::move(*frame))) {
@@ -358,8 +322,7 @@ class UringServer {
   void arm_accept() {
     if (accept_armed_ || core_.stopping()) return;
     io_uring_sqe* sqe = ring_->get_sqe();
-    Uring::prep_accept(*sqe, listener_.fd(), multishot_accept_,
-                       make_ud(kUdAccept));
+    Uring::prep_accept(*sqe, listener_.fd(), make_ud(kUdAccept));
     accept_armed_ = true;
     inflight_++;
   }
@@ -373,26 +336,11 @@ class UringServer {
     inflight_++;
   }
 
-  void arm_wakeup_read() {
-    if (wakeup_read_armed_) return;
-    io_uring_sqe* sqe = ring_->get_sqe();
-    Uring::prep_read(*sqe, wakeup_.fd(), &wakeup_scratch_,
-                     sizeof wakeup_scratch_, make_ud(kUdWakeup));
-    wakeup_read_armed_ = true;
-    inflight_++;
-  }
-
   void arm_recv(Conn& conn) {
     if (conn.recv_armed || conn.closing) return;
     io_uring_sqe* sqe = ring_->get_sqe();
-    if (use_buf_ring_) {
-      Uring::prep_recv_multishot(*sqe, conn.io.fd(), kBufGroup,
-                                 make_ud(kUdRecv, conn.key));
-    } else {
-      if (conn.recv_buf.empty()) conn.recv_buf.resize(kRecvBufSize);
-      Uring::prep_recv(*sqe, conn.io.fd(), conn.recv_buf.data(),
-                       conn.recv_buf.size(), make_ud(kUdRecv, conn.key));
-    }
+    Uring::prep_recv_multishot(*sqe, conn.io.fd(), kBufGroup,
+                               make_ud(kUdRecv, conn.key));
     conn.recv_armed = true;
     inflight_++;
   }
@@ -495,10 +443,6 @@ class UringServer {
         timeout_armed_ = false;
         break;
       case kUdWakeup:
-        if (!use_msg_ring_) {
-          inflight_--;
-          wakeup_read_armed_ = false;
-        }
         break;
       case kUdCancel:
         inflight_--;
@@ -527,19 +471,13 @@ class UringServer {
   std::unique_ptr<Uring> ring_;         ///< serving thread (after start)
   std::unique_ptr<Uring> sender_ring_;  ///< sink threads, sender_mu_-guarded
   std::mutex sender_mu_;
-  WakeupFd wakeup_;  ///< eventfd fallback when MSG_RING is unavailable
-  std::uint64_t wakeup_scratch_ = 0;
   __kernel_timespec tick_ts_{};
-  bool use_buf_ring_ = false;
-  bool use_msg_ring_ = false;
-  bool multishot_accept_ = true;
   std::uint64_t next_conn_key_ = 1;  ///< serving thread only
 
   // Serving thread only: armed-op accounting for teardown.
   std::size_t inflight_ = 0;
   bool accept_armed_ = false;
   bool timeout_armed_ = false;
-  bool wakeup_read_armed_ = false;
 
   std::thread serve_thread_;
   bool running_ = false;
@@ -567,7 +505,9 @@ enum class ServerBackend : std::uint8_t { kEpoll, kUring };
 
 /// "Best available server": UringServer when the build has io_uring support
 /// AND the runtime probe passes, else the epoll SocketServer -- one type
-/// callers can hold without caring which engine room they got. (In an
+/// callers can hold without caring which engine room they got. The probe
+/// passes only with every feature UringServer uses, so any kernel short of
+/// one (in practice anything older than Linux 6.0) serves epoll. (In an
 /// epoll-only build UringServer is the SocketServer alias and the probe is
 /// always false, so the same code compiles and picks epoll.)
 template <Symbol T, typename Hasher = SipHasher<T>>

@@ -152,12 +152,17 @@ CpiSketch::Result CpiSketch::reconcile(const CpiSketch& alice,
 
   // Degree split: d_A - d_B = |A| - |B| is known; d_A + d_B <= m. Any
   // slack becomes a common factor of P and Q, stripped by gcd below (MTZ
-  // §3). In char-2 arithmetic subtraction is addition throughout.
-  const auto size_a = static_cast<std::int64_t>(alice.set_size());
-  const auto size_b = static_cast<std::int64_t>(bob.set_size());
-  const std::int64_t delta = size_a - size_b;
+  // §3). In char-2 arithmetic subtraction is addition throughout. The
+  // sizes are compared unsigned: a peer's size may be anything up to
+  // 2^64 - 1, and only a gap within the capacity is signed-safe.
+  const std::size_t size_a = alice.set_size();
+  const std::size_t size_b = bob.set_size();
+  const std::size_t gap = size_a > size_b ? size_a - size_b : size_b - size_a;
+  if (gap > m) return out;  // difference exceeds capacity
   const auto mi = static_cast<std::int64_t>(m);
-  if (delta > mi || -delta > mi) return out;  // difference exceeds capacity
+  const std::int64_t delta = size_a >= size_b
+                                 ? static_cast<std::int64_t>(gap)
+                                 : -static_cast<std::int64_t>(gap);
   const auto deg_p = static_cast<std::size_t>((mi + delta) / 2);
   const auto deg_q =
       static_cast<std::size_t>(static_cast<std::int64_t>(deg_p) - delta);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -862,34 +863,6 @@ TRANSPORT_TEST(SyscallCountersPopulated, Item8) {
 
 // ------------------------------------------------- io_uring serving path
 
-// The degraded-feature paths must serve identically: single-shot recv
-// (no provided-buffer ring) and eventfd wakeup (no MSG_RING) are exactly
-// what an older kernel would negotiate.
-TEST(UringTransport, FallbackKnobsServeIdentically) {
-  if (!uring_or_skip("FallbackKnobsServeIdentically")) return;
-  const auto w = make_set_pair<Item8>(500, 20, 11, 98);
-  sync::ShardedEngine<Item8> engine(1);
-  for (const auto& x : w.a) engine.add_item(x);
-  SocketServerOptions options;
-  options.uring_buffer_ring = false;
-  options.uring_msg_ring = false;
-  UringServer<Item8> server(engine, options);
-#if defined(RIBLT_HAS_IO_URING)
-  CHECK(!server.using_buffer_ring());
-  CHECK(!server.using_msg_ring());
-#endif
-  server.start();
-
-  sync::ShardedClient<Item8> client(1, 1, BackendId::kRiblt);
-  for (const auto& y : w.b) client.add_item(y);
-  SocketClient sock(server.port());
-  REQUIRE(run_session(sock, client, /*timeout_s=*/60.0));
-  CHECK(key_set(client.diff().remote) == key_set(w.only_a));
-  CHECK(key_set(client.diff().local) == key_set(w.only_b));
-  server.stop();
-  CHECK_EQ(server.stats().protocol_errors, 0u);
-}
-
 // Forced fallback: AnyServer with uring disallowed must serve over the
 // epoll path with identical results -- the "best available server" rule
 // an old kernel or RIBLT_NO_URING triggers at runtime.
@@ -916,6 +889,13 @@ TEST(UringTransport, ForcedFallbackServesOverEpoll) {
   sync::ShardedEngine<Item8> engine2(1);
   AnyServer<Item8> best(engine2);
   CHECK((best.backend() == ServerBackend::kUring) == uring_available());
+#if defined(RIBLT_HAS_IO_URING)
+  // The probe is the only gate: a UringServer built where it fails throws
+  // instead of serving on a partially featured ring.
+  if (!uring_available()) {
+    EXPECT_THROW((void)UringServer<Item8>(engine2), std::runtime_error);
+  }
+#endif
 }
 
 }  // namespace

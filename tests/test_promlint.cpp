@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +28,23 @@ namespace {
 using testing::make_set_pair;
 using Item8 = U64Symbol;
 using Item32 = ByteSymbol<32>;
+
+/// Whether the uring half of a case can run: false, with the probe's
+/// reason printed, where the kernel, a seccomp profile or RIBLT_NO_URING
+/// rules io_uring out (UringServer's constructor throws there). An
+/// epoll-only build aliases UringServer to SocketServer, so the uring
+/// half runs as a second epoll pass.
+bool uring_or_skip(const char* test) {
+#if defined(RIBLT_HAS_IO_URING)
+  if (uring_available()) return true;
+  std::printf("  [skip] %s: io_uring unavailable (%s)\n", test,
+              uring_caps().reason);
+  return false;
+#else
+  (void)test;
+  return true;
+#endif
+}
 
 // --------------------------------------------------------- lint units
 
@@ -198,6 +216,7 @@ TEST(PromLint, LiveScrapeEpollMidLoad) {
 }
 
 TEST(PromLint, LiveScrapeUringMidLoad) {
+  if (!uring_or_skip("LiveScrapeUringMidLoad")) return;
 #if defined(RIBLT_HAS_IO_URING)
   live_scrape_roundtrip<UringServer<Item8>>("uring");
 #else
@@ -299,6 +318,7 @@ TEST(PromLint, ServerScrapeMatchesGoldenSchema) {
   });
   const FamilySet epoll = server_scrape_families<SocketServer<Item8>>();
   ASSERT_EQ(epoll, want) << schema_drift(epoll, want);
+  if (!uring_or_skip("ServerScrapeMatchesGoldenSchema")) return;
   const FamilySet uring = server_scrape_families<UringServer<Item8>>();
   ASSERT_EQ(uring, want) << schema_drift(uring, want);
 }
@@ -382,7 +402,7 @@ TEST(PromLint, ScrapeWithoutTapsGetsError) {
   const std::vector<std::string> want = {
       "unsupported ADMIN verb: NO_SUCH_VERB", "malformed ADMIN"};
   ASSERT_EQ(untapped_admin_errors<SocketServer<Item8>>(), want);
-  if (uring_available()) {
+  if (uring_or_skip("ScrapeWithoutTapsGetsError")) {
     ASSERT_EQ(untapped_admin_errors<UringServer<Item8>>(), want);
   }
 

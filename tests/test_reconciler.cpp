@@ -140,6 +140,35 @@ TEST(Reconciler, CpiEscalatesCapacityUntilDecode) {
   expect_diff_matches(dec->diff(), w);
 }
 
+// A peer's CPI set size is any uvarint. At 2^63 and 2^64 - 1 against 5000
+// local items the degree split must see a gap beyond the capacity (the
+// sizes compare unsigned), fail the decode, and ask for more capacity.
+TEST(Reconciler, CpiHugeRemoteSetSizeFailsAndEscalates) {
+  const auto w = make_set_pair<U64Symbol>(5000, 0, 0, 49);
+  auto enc = make_reconciler_encoder<U64Symbol>(BackendId::kCpi);
+  for (const auto& x : w.a) enc->add_item(x);
+  ByteWriter honest;
+  REQUIRE(enc->emit(honest, 1024) > 0);
+  ByteReader r(honest.view());
+  const std::uint64_t capacity = r.uvarint();
+  (void)r.uvarint();  // the encoder's own set size, replaced below
+  const std::uint64_t count = r.uvarint();
+  const auto evals = honest.view().last(r.remaining());
+  for (const std::uint64_t remote_size :
+       {std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    ByteWriter hostile;
+    hostile.uvarint(capacity);
+    hostile.uvarint(remote_size);
+    hostile.uvarint(count);
+    hostile.bytes(evals);
+    auto dec = make_reconciler_decoder<U64Symbol>(BackendId::kCpi);
+    for (const auto& y : w.b) dec->add_item(y);
+    dec->absorb(hostile.view());
+    CHECK(!dec->decoded());
+    CHECK(dec->round_request().has_value());
+  }
+}
+
 TEST(Reconciler, StrataSizesTheFirstTableFromTheEstimate) {
   // A large difference must not start from the minimum table size: the
   // first real round's request grows with the estimator's answer.

@@ -3,16 +3,22 @@
 // random-byte frames through every parser that faces the network --
 // parse_sketch, read_stream_symbol, the IBLT/strata wire, and the v2
 // engine frame parser. The contract everywhere: throw a typed exception,
-// never UB, and reject hostile size claims before allocating.
+// never UB, and reject hostile size claims before allocating. Cell counts
+// at the extremes of their integer range go through the codecs' count
+// arithmetic on both ends (UBSan aborts on any signed overflow there).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/riblt.hpp"
 #include "iblt/iblt_wire.hpp"
 #include "iblt/strata.hpp"
 #include "net/frame_conduit.hpp"
+#include "sync/adaptive.hpp"
 #include "sync/engine.hpp"
+#include "sync/reconciler.hpp"
 #include "testutil.hpp"
 
 namespace ribltx {
@@ -297,6 +303,118 @@ TEST(WireFuzz, RandomFramesThroughEngineAndClient) {
             }
             return ok;
           });
+}
+
+// ------------------------------------------ counts at the integer limits
+
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// The stream-symbol bytes of `cells` (8-byte checksums, plain counts).
+std::vector<std::byte> stream_of(
+    std::initializer_list<CodedSymbol<Item8>> cells) {
+  ByteWriter w;
+  for (const auto& cell : cells) wire::write_stream_symbol(w, cell, 8);
+  return std::move(w).take();
+}
+
+/// Feeds `payload` to `backend`: true when the client ends undecoded or
+/// fails with a typed exception -- a garbage count never decodes.
+bool ends_undecoded(sync::RibltDecoderBackend<Item8>& backend,
+                    const std::vector<std::byte>& payload) {
+  try {
+    backend.absorb(payload);
+  } catch (const std::exception&) {
+    return true;
+  }
+  return !backend.decoded();
+}
+
+// Server: an adaptive HELLO whose probe cells all carry count INT64_MIN,
+// subtracted from the engine's own probe digest (2000 items).
+TEST(WireFuzz, ProbeCountAtInt64MinGetsGrantOrProtocolError) {
+  sync::SyncEngine<Item8> engine;
+  for (std::uint64_t i = 0; i < 2000; ++i) engine.add_item(Item8::random(i));
+
+  // The probe geometry comes from an empty digest; its cells are rewritten.
+  const auto empty = sync::adaptive::make_probe<Item8>(SipHasher<Item8>{})
+                         .serialize(sync::adaptive::kProbeChecksumLen);
+  ByteReader r(empty);
+  (void)r.u32();  // magic
+  (void)r.u8();   // version
+  (void)r.u8();   // checksum_len
+  const std::uint64_t strata = r.uvarint();
+  const std::uint64_t cells = strata * r.uvarint();
+  (void)r.u8();   // k
+  (void)r.u32();  // symbol size
+  ByteWriter probe;
+  probe.bytes(std::span(empty).first(empty.size() - r.remaining()));
+  for (std::uint64_t i = 0; i < cells; ++i) {
+    wire::write_stream_symbol(probe, CodedSymbol<Item8>{{}, 0, kInt64Min},
+                              sync::adaptive::kProbeChecksumLen);
+  }
+
+  sync::SyncClient<Item8> client(1, sync::BackendId::kRiblt);
+  client.set_adaptive(/*peer_id=*/7);
+  sync::v2::Frame hello = sync::v2::parse_frame(client.hello());
+  hello.probe = std::move(probe).take();
+  bool answered = false;
+  try {
+    const auto out = engine.handle_frame(sync::v2::encode_frame(hello));
+    answered = !out.empty() && sync::v2::parse_frame(out.front()).type ==
+                                   sync::v2::FrameType::kHelloAck;
+  } catch (const sync::ProtocolError&) {
+    answered = true;
+  }
+  CHECK(answered);
+}
+
+// Client: cell 0 carries count INT64_MIN while the local set (one item)
+// is folded into it.
+TEST(WireFuzz, StreamCountAtInt64MinFoldingLocalSetEndsUndecoded) {
+  sync::RibltDecoderBackend<Item8> backend;
+  backend.add_item(Item8::random(1));
+  CHECK(ends_undecoded(backend,
+                       stream_of({{Item8::random(2), 0x5eed, kInt64Min}})));
+}
+
+// Client: cell 0 carries count INT32_MIN (the decoder's 32-bit cell
+// count), then a pure cell peels a symbol whose removal lands in cell 0.
+TEST(WireFuzz, StreamCountAtInt32MinWhilePeelingEndsUndecoded) {
+  const Item8 y = Item8::random(3);
+  sync::RibltDecoderBackend<Item8> backend;
+  CHECK(ends_undecoded(
+      backend,
+      stream_of({{Item8::random(4), 0x5eed,
+                  std::numeric_limits<std::int32_t>::min()},
+                 {y, SipHasher<Item8>{}(y), 1}})));
+}
+
+// Client: a residual stream anchored at 2^62 carries residual INT64_MAX,
+// and a counted sketch anchored at 2^62 the same residual.
+TEST(WireFuzz, CountResidualPastInt64MaxEndsUndecoded) {
+  constexpr std::uint64_t kAnchor = std::uint64_t{1} << 62;
+  ByteWriter w;
+  w.bytes(Item8::random(5).bytes());
+  w.u64(0x5eed);
+  w.svarint(kInt64Max);
+  const auto payload = std::move(w).take();
+  sync::RibltDecoderBackend<Item8> backend(SipHasher<Item8>{}, 8,
+                                           /*count_residuals=*/true, kAnchor);
+  CHECK(ends_undecoded(backend, payload));
+
+  ByteWriter sketch;
+  sketch.u32(wire::kMagic);
+  sketch.u8(wire::kVersion);
+  sketch.u8(wire::kFlagHasCounts);
+  sketch.u8(8);
+  sketch.u32(static_cast<std::uint32_t>(Item8::kSize));
+  sketch.uvarint(1);        // num_cells
+  sketch.uvarint(kAnchor);  // set_size
+  sketch.bytes(payload);
+  const auto parsed = wire::parse_sketch<Item8>(std::move(sketch).take());
+  REQUIRE_EQ(parsed.cells.size(), 1u);
+  CHECK_EQ(parsed.cells[0].checksum, 0x5eedu);
 }
 
 }  // namespace
