@@ -322,7 +322,6 @@ bool run_loopback(const bench::Options& opts, bench::JsonReport& report) {
                  : std::vector<std::size_t>{1, 12, 56, 100, 1000};
   constexpr std::size_t kConstantsN = 5000;  ///< the committed constants' n
   const sync::ReconcilerConfig config{};
-  const ad::AdaptiveOptions adaptive{};
   const ad::LinkProfile link = ad::LinkProfile::loopback();
   const bool gated = !RIBLT_BENCH_SANITIZED;
 
@@ -398,7 +397,7 @@ bool run_loopback(const bench::Options& opts, bench::JsonReport& report) {
             .num("cost_bytes", cost[i]);
       }
       const BackendId pick = ad::choose_backend<U64Symbol>(
-          BackendId::kRiblt, d, n, 8, config, adaptive, link);
+          BackendId::kRiblt, d, n, 8, config, link);
       const std::size_t pi = static_cast<std::size_t>(pick) - 1;
       const double ratio =
           feasible[pi] && cheapest > 0 ? cost[pi] / cheapest : 0;

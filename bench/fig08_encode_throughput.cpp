@@ -51,7 +51,8 @@ double pinsketch_encode_seconds(std::size_t n, std::size_t d,
 }
 
 void run_panel(const char* name, std::size_t n, std::size_t max_d,
-               std::size_t pin_max_d, std::uint64_t seed) {
+               std::size_t pin_max_d, std::uint64_t seed,
+               bench::JsonReport& report) {
   std::printf("# Fig 8%s: N = %zu\n", name, n);
   std::printf("%-8s %-14s %-14s %-14s %-14s\n", "d", "riblt_s",
               "riblt_d_per_s", "pinsketch_s", "pin_d_per_s");
@@ -60,8 +61,11 @@ void run_panel(const char* name, std::size_t n, std::size_t max_d,
     double pt = -1;
     if (d <= pin_max_d) pt = pinsketch_encode_seconds(n, d, seed + d + 1);
     std::printf("%-8zu %-14.5f %-14.1f", d, rt, static_cast<double>(d) / rt);
+    auto& row = report.row().num("n", n).num("d", d).num("riblt_s", rt).num(
+        "riblt_d_per_s", static_cast<double>(d) / rt);
     if (pt >= 0) {
       std::printf(" %-14.5f %-14.1f\n", pt, static_cast<double>(d) / pt);
+      row.num("pinsketch_s", pt);
     } else {
       std::printf(" %-14s %-14s\n", "-", "-");
     }
@@ -73,16 +77,17 @@ void run_panel(const char* name, std::size_t n, std::size_t max_d,
 
 int main(int argc, char** argv) {
   const auto opts = bench::Options::parse(argc, argv);
+  bench::JsonReport report(opts, "fig08_encode_throughput");
   // PinSketch encode is O(N*d) field multiplies; cap d to keep the default
   // run interactive (--full raises the cap).
   if (opts.smoke) {
-    run_panel("a", 10'000, 1'000, 100, opts.seed);
+    run_panel("a", 10'000, 1'000, 100, opts.seed, report);
   } else if (opts.full) {
-    run_panel("a", 1'000'000, 100'000, 1'000, opts.seed);
-    run_panel("b", 10'000, 1'000, 1'000, opts.seed + 99);
+    run_panel("a", 1'000'000, 100'000, 1'000, opts.seed, report);
+    run_panel("b", 10'000, 1'000, 1'000, opts.seed + 99, report);
   } else {
-    run_panel("a", 1'000'000, 100'000, 100, opts.seed);
-    run_panel("b", 10'000, 1'000, 1'000, opts.seed + 99);
+    run_panel("a", 1'000'000, 100'000, 100, opts.seed, report);
+    run_panel("b", 10'000, 1'000, 1'000, opts.seed + 99, report);
   }
   return 0;
 }

@@ -231,6 +231,40 @@ void BM_DecoderRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DecoderRoundTrip)->Arg(1024);
 
+void BM_DecoderFold(benchmark::State& state) {
+  // The client's decode: Bob holds n - d of the server's n items, so every
+  // arriving cell first folds out his local set (and each recovered symbol)
+  // through the decoder's window -- core.client_absorb_us's shape, where
+  // BM_DecoderRoundTrip has no local set. The stream is recorded up front;
+  // each iteration registers the (pre-hashed) local set and decodes it.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto d = static_cast<std::size_t>(state.range(1));
+  Encoder<U64Symbol> enc;
+  std::vector<HashedSymbol<U64Symbol>> local;
+  SplitMix64 rng(8);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto item = U64Symbol::random(rng.next());
+    enc.add_symbol(item);
+    if (i >= d) local.push_back(enc.hasher().hashed(item));
+  }
+  std::vector<CodedSymbol<U64Symbol>> cells;
+  Decoder<U64Symbol> probe;
+  for (const auto& s : local) probe.add_local_hashed_symbol(s);
+  while (!probe.decoded()) {
+    cells.push_back(enc.produce_next());
+    probe.add_coded_symbol(cells.back());
+  }
+  for (auto _ : state) {
+    Decoder<U64Symbol> dec;
+    for (const auto& s : local) dec.add_local_hashed_symbol(s);
+    for (const auto& c : cells) dec.add_coded_symbol(c);
+    benchmark::DoNotOptimize(dec.decoded());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d));
+  state.counters["cells"] = static_cast<double>(cells.size());
+}
+BENCHMARK(BM_DecoderFold)->Args({5000, 10})->Args({10000, 2500});
+
 void BM_SketchAddSymbol(benchmark::State& state) {
   Sketch<U64Symbol> sketch(10'000);
   SplitMix64 rng(5);
@@ -244,17 +278,12 @@ BENCHMARK(BM_SketchAddSymbol);
 void BM_FrameConduitEmit(benchmark::State& state) {
   // The serving path's per-frame allocation cost: send() materializes a
   // length-prefix buffer and feed() materializes each inbound frame, both
-  // on the serving thread. With pooling (range(0) = 1, the production
-  // default) completed buffers recycle through the conduit's free list;
-  // without it every frame is a fresh heap vector. The before/after pair
-  // is ISSUE 8's S3 measurement -- steady-state emit+consume should show
-  // the pooled path dodging the allocator entirely.
+  // on the serving thread, out of the conduit's pool of retired buffers.
   // One conduit plays both directions, like a server conn: consume()
   // recycles the emitted prefix+payload buffers, feed() and the next
-  // send() draw them back out, so the pooled steady state allocates only
-  // the caller's frame copy (which both modes pay identically).
-  const bool pooled = state.range(0) != 0;
-  net::FrameConduit conduit(net::FrameConduit::kDefaultMaxFrame, pooled);
+  // send() draw them back out, so the steady state allocates only the
+  // caller's frame copy.
+  net::FrameConduit conduit;
   std::vector<std::byte> frame(512);
   SplitMix64 rng(23);
   for (auto& b : frame) b = static_cast<std::byte>(rng.next());
@@ -274,7 +303,7 @@ void BM_FrameConduitEmit(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(frame.size()));
 }
-BENCHMARK(BM_FrameConduitEmit)->Arg(1)->Arg(0);
+BENCHMARK(BM_FrameConduitEmit);
 
 void BM_Gf64Mul(benchmark::State& state) {
   pinsketch::GF64 a(0x123456789abcdef1ULL), b(0xfedcba9876543211ULL);

@@ -3,14 +3,14 @@
 //
 // This is the paper's "efficient incremental encoding" structure (§6): the
 // symbols mapped to the next stream index must be found in O(their count),
-// never by scanning the whole set. Stream indices are visited in
-// non-decreasing order (grow_to blocks, encoder produce_next, cursor
-// overlays), which admits the same calendar-queue trick the decoder uses --
-// but bounded: where the decoder keeps one bucket per received cell
-// (O(stream) memory it needs anyway for the cells), the window keeps a
-// fixed-size circular bucket array covering the next kHorizon indices, and
-// entries mapped beyond the horizon park in a "far" min-heap keyed by next
-// index. The common operations become:
+// never by scanning the whole set. It is the one schedule every stream walk
+// folds through: Encoder::produce_next, SequenceCache grow_to blocks, writer
+// lanes and cursor overlays, and the decoders' fold of the local set and of
+// each recovered symbol (§3-§4). Stream indices are visited in
+// non-decreasing order, which admits a calendar queue: a fixed-size
+// circular bucket array covers the next kHorizon indices, and entries
+// mapped beyond the horizon park in a "far" min-heap keyed by next index.
+// The common operations become:
 //
 //   * apply_at(i): drain bucket i & (kHorizon-1) -- O(1) per mapped symbol,
 //     no sift -- then re-bucket each advanced entry (O(1) when the next
@@ -53,18 +53,24 @@ class CodingWindow {
     add_with_mapping(s, factory(s.hash));
   }
 
-  /// Adds a symbol with an explicit mapping state. The decoder uses this to
-  /// register a just-recovered symbol whose mapping has already been walked
-  /// past every received cell. `dir` is the entry's own direction: a
-  /// kRemove entry folds its symbol with the opposite sign on every future
-  /// cell -- the tombstone that cancels an earlier kAdd entry of the same
-  /// symbol (SequenceCache churn) or undoes a set change a snapshot must
-  /// not see (SequenceCache::Cursor overlays). The mapping must not point
-  /// at an index the window already visited.
+  /// Adds a symbol with an explicit mapping state: a decoder registers a
+  /// just-recovered symbol whose mapping has already been walked past every
+  /// received cell. `dir` is the entry's own direction: a kRemove entry
+  /// folds its symbol with the opposite sign on every future cell -- a
+  /// decoder's local item or recovered remote symbol, the tombstone that
+  /// cancels an earlier kAdd entry of the same symbol (SequenceCache churn),
+  /// or the undo of a set change a snapshot must not see
+  /// (SequenceCache::Cursor overlays). The mapping must not point at an
+  /// index the window already visited.
   void add_with_mapping(const HashedSymbol<T>& s, Mapping mapping,
                         Direction dir = Direction::kAdd) {
     if (symbols_.size() >= kRemoveBit) {
       throw std::length_error("CodingWindow: symbol capacity exhausted");
+    }
+    const std::uint64_t key = mapping.index();
+    if (key < pos_) {
+      throw std::logic_error(
+          "CodingWindow: entry mapped to an already-visited index");
     }
     const auto ordinal = static_cast<std::uint32_t>(symbols_.size());
     symbols_.push_back(s);
@@ -72,11 +78,6 @@ class CodingWindow {
     // far below 2^31 symbols, and a separate byte would widen the entry.
     const std::uint32_t packed =
         dir == Direction::kAdd ? ordinal : (ordinal | kRemoveBit);
-    const std::uint64_t key = mapping.index();
-    if (key < pos_) {
-      throw std::logic_error(
-          "CodingWindow: entry mapped to an already-visited index");
-    }
     entries_.push_back(Entry{std::move(mapping), packed, kNilEntry});
     place(static_cast<std::uint32_t>(entries_.size() - 1), key);
   }
@@ -102,6 +103,7 @@ class CodingWindow {
     while (id != kNilEntry) {
       Entry& e = entries_[id];
       const std::uint32_t chain = e.next;
+      if (chain != kNilEntry) __builtin_prefetch(&entries_[chain]);
       cell.apply(symbols_[e.ordinal & ~kRemoveBit],
                  (e.ordinal & kRemoveBit) == 0 ? dir : invert(dir));
       const std::uint64_t next = e.mapping.advance();
@@ -142,14 +144,17 @@ class CodingWindow {
 
   /// Calendar span: indices in [base, base + kHorizon) resolve to buckets;
   /// anything farther parks in the far heap until the window slides there.
-  static constexpr std::size_t kHorizon = 512;
+  /// 8192 slots hold a whole ~3.5k-cell client stream (a `bulk` shard's)
+  /// without a far-heap trip; a window pays 32 KB of buckets, allocated
+  /// when it first holds an entry.
+  static constexpr std::size_t kHorizon = 8192;
 
  private:
   /// Top ordinal bit marks a kRemove (tombstone/undo) entry.
   static constexpr std::uint32_t kRemoveBit = 0x80000000u;
   static constexpr std::uint32_t kNilEntry = 0xffffffffu;
   /// Far-heap fan-out: four (key, id) pairs per node keep the child keys on
-  /// one cache line, same rationale as the decoder-side calendar.
+  /// one cache line.
   static constexpr std::size_t kArity = 4;
 
   struct Entry {

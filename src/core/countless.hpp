@@ -41,7 +41,7 @@ class CountlessDecoder {
       throw std::logic_error(
           "CountlessDecoder: local items must precede coded symbols");
     }
-    local_set_.add(hasher_.hashed(s), factory_);
+    window_.add(hasher_.hashed(s), factory_);
   }
 
   /// Consumes the next coded symbol (count field ignored entirely).
@@ -49,8 +49,7 @@ class CountlessDecoder {
     const std::uint64_t index = cells_.size();
     CodedSymbol<T> cell = incoming;
     cell.count = 0;
-    local_set_.apply_at(index, cell, Direction::kAdd);
-    recovered_.apply_at(index, cell, Direction::kAdd);
+    window_.apply_at(index, cell, Direction::kAdd);
     cells_.push_back(cell);
     settled_flags_.push_back(0);
     enqueue_if_actionable(static_cast<std::size_t>(index));
@@ -71,8 +70,7 @@ class CountlessDecoder {
   }
 
   void reset() noexcept {
-    local_set_.clear();
-    recovered_.clear();
+    window_.clear();
     cells_.clear();
     settled_flags_.clear();
     queue_.clear();
@@ -116,14 +114,13 @@ class CountlessDecoder {
         mapping.advance();
       }
       difference_.push_back(sym);
-      recovered_.add_with_mapping(sym, std::move(mapping));
+      window_.add_with_mapping(sym, std::move(mapping));
     }
   }
 
   Hasher hasher_;
   MappingFactory factory_;
-  CodingWindow<T, mapping_type> local_set_;
-  CodingWindow<T, mapping_type> recovered_;
+  CodingWindow<T, mapping_type> window_;  ///< local + recovered, all kAdd
   std::vector<CodedSymbol<T>> cells_;
   std::vector<std::uint8_t> settled_flags_;
   std::vector<std::size_t> queue_;

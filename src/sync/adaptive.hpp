@@ -133,18 +133,21 @@ struct LinkProfile {
 /// Tuning for the adaptive grant path (EngineOptions::adaptive).
 struct AdaptiveOptions {
   bool enabled = true;        ///< grant adaptive negotiation when requested
-  double ewma_alpha = 0.25;   ///< weight of the newest observed diff
   std::uint64_t default_d = 64;  ///< no probe, no history
-  /// Pacing runway = clamp(pace_slack * expected stream bytes,
-  /// min_pace_cap, max_pace_cap). The cap bounds overshoot past the last
-  /// inbound frame, so the max matters most: a few frame budgets keeps the
-  /// stream pipelined (credits arrive before the server stalls) while
-  /// bounding wasted symbols to that same few-KB runway.
-  double pace_slack = 1.4;
-  std::uint64_t min_pace_cap = 256;
-  std::uint64_t max_pace_cap = 2048;
   std::size_t max_peers = 65536;  ///< EWMA table bound (evicts beyond)
 };
+
+/// PeerEwma's weight of the newest observed diff.
+inline constexpr double kEwmaAlpha = 0.25;
+
+/// Pacing runway = clamp(kPaceSlack * expected stream bytes, kMinPaceCap,
+/// kMaxPaceCap). The cap bounds overshoot past the last inbound frame, so
+/// the max matters most: a few frame budgets keeps the stream pipelined
+/// (credits arrive before the server stalls) while bounding wasted symbols
+/// to that same few-KB runway.
+inline constexpr double kPaceSlack = 1.4;
+inline constexpr std::uint64_t kMinPaceCap = 256;
+inline constexpr std::uint64_t kMaxPaceCap = 2048;
 
 /// Worst-case wire bytes of one rateless stream symbol (symbol + checksum
 /// + svarint count) -- the pacing slop that guarantees a frame emitted
@@ -201,20 +204,17 @@ struct CostEstimate {
 /// this always returns a positive cap).
 template <Symbol T>
 [[nodiscard]] std::uint64_t pace_cap_for(std::uint64_t d,
-                                         std::uint8_t checksum_len,
-                                         const AdaptiveOptions& opts) {
+                                         std::uint8_t checksum_len) {
   const double sym =
       static_cast<double>(T::kSize + checksum_len + 2);  // typical count
   const double expected = (1.35 * static_cast<double>(d) + 1.0) * sym;
-  const auto scaled =
-      static_cast<std::uint64_t>(opts.pace_slack * expected);
+  const auto scaled = static_cast<std::uint64_t>(kPaceSlack * expected);
   // Never clamp below what one clamped-budget frame needs to make
   // progress: a cap smaller than slop + one symbol would pause forever.
   const std::uint64_t floor_cap =
-      std::max(opts.min_pace_cap,
+      std::max(kMinPaceCap,
                2 * (max_symbol_wire<T>(checksum_len) + kFrameHeaderSlop));
-  return std::clamp(scaled, floor_cap,
-                    std::max(floor_cap, opts.max_pace_cap));
+  return std::clamp(scaled, floor_cap, std::max(floor_cap, kMaxPaceCap));
 }
 
 /// Prices one backend at one estimated d. `set_size` is the server set
@@ -225,8 +225,7 @@ template <Symbol T>
 [[nodiscard]] CostEstimate estimate_cost(BackendId backend, std::uint64_t d,
                                          std::size_t set_size,
                                          std::uint8_t checksum_len,
-                                         const ReconcilerConfig& config,
-                                         const AdaptiveOptions& opts) {
+                                         const ReconcilerConfig& config) {
   const double n = static_cast<double>(set_size);
   const double dd = static_cast<double>(std::max<std::uint64_t>(d, 1));
   const double cell = static_cast<double>(T::kSize) + checksum_len + 1.5;
@@ -239,8 +238,8 @@ template <Symbol T>
       // useful prefix it streams about half a runway before the DONE
       // lands. bytes = max(cap, 1.05*stream + cap/2).
       const double stream = (1.35 * dd + 1.0) * (cell + 0.5);
-      const double runway = static_cast<double>(
-          pace_cap_for<T>(d, checksum_len, opts));
+      const double runway =
+          static_cast<double>(pace_cap_for<T>(d, checksum_len));
       out.bytes = std::max(runway, stream * 1.05 + runway / 2);
       out.rounds = 0;  // credits pipeline; they never block the stream
       // Every byte streamed is a symbol read off the shared cursor.
@@ -308,19 +307,17 @@ template <Symbol T>
                                        std::size_t set_size,
                                        std::uint8_t checksum_len,
                                        const ReconcilerConfig& config,
-                                       const AdaptiveOptions& opts,
                                        const LinkProfile& link) {
   const BackendId candidates[] = {BackendId::kRiblt, BackendId::kIbltStrata,
                                   BackendId::kCpi, BackendId::kMetIblt};
   BackendId best = requested;
   double best_cost = link_cost(
-      estimate_cost<T>(requested, d, set_size, checksum_len, config, opts),
-      link);
+      estimate_cost<T>(requested, d, set_size, checksum_len, config), link);
   for (const BackendId b : candidates) {
     if (b == requested) continue;
     if (b == BackendId::kCpi && !cpi_feasible<T>(d, config)) continue;
     const double cost = link_cost(
-        estimate_cost<T>(b, d, set_size, checksum_len, config, opts), link);
+        estimate_cost<T>(b, d, set_size, checksum_len, config), link);
     if (cost < best_cost) {
       best = b;
       best_cost = cost;
@@ -334,8 +331,7 @@ template <Symbol T>
 /// re-syncing the same neighbors converges to their churn rate).
 class PeerEwma {
  public:
-  explicit PeerEwma(double alpha = 0.25, std::size_t max_peers = 65536)
-      : alpha_(alpha), max_peers_(max_peers) {}
+  explicit PeerEwma(std::size_t max_peers = 65536) : max_peers_(max_peers) {}
 
   /// Folds one observed diff for a peer (peer id 0 = anonymous: ignored),
   /// clamped to kMaxDiffEstimate.
@@ -348,8 +344,8 @@ class PeerEwma {
       ewma_.emplace(peer_id, static_cast<double>(diff));
       return;
     }
-    it->second = (1.0 - alpha_) * it->second +
-                 alpha_ * static_cast<double>(diff);
+    it->second = (1.0 - kEwmaAlpha) * it->second +
+                 kEwmaAlpha * static_cast<double>(diff);
   }
 
   /// The current estimate for a peer, or 0 when it has no history.
@@ -363,7 +359,6 @@ class PeerEwma {
   [[nodiscard]] std::size_t size() const noexcept { return ewma_.size(); }
 
  private:
-  double alpha_;
   std::size_t max_peers_;
   std::unordered_map<std::uint64_t, double> ewma_;
 };

@@ -511,8 +511,7 @@ class SyncEngine {
         options_(std::move(options)),
         cells_(obs::registry_or_own(options_.metrics, own_metrics_)),
         cache_(std::make_shared<SequenceCache<T, Hasher>>(hasher_)),
-        peer_ewma_(options_.adaptive.ewma_alpha,
-                   options_.adaptive.max_peers) {
+        peer_ewma_(options_.adaptive.max_peers) {
     probe_lanes_.reserve(kProbeLanes);
     for (std::size_t i = 0; i < kProbeLanes; ++i) {
       probe_lanes_.push_back(std::make_unique<ProbeLane>(
@@ -629,7 +628,7 @@ class SyncEngine {
           d_est = std::min(estimate_diff(frame), adaptive::kMaxDiffEstimate);
           backend = adaptive::choose_backend<T>(
               requested, d_est, index_.size(), frame.checksum_len,
-              options_.config, options_.adaptive, options_.link);
+              options_.config, options_.link);
         }
         const std::uint8_t effective =
             negotiate_checksum_len(backend, frame.checksum_len);
@@ -643,8 +642,7 @@ class SyncEngine {
         std::uint64_t pace_cap = 0;
         if (adaptive && backend == BackendId::kRiblt) {
           // The one backend that streams unboundedly gets a pacing runway.
-          pace_cap =
-              adaptive::pace_cap_for<T>(d_est, effective, options_.adaptive);
+          pace_cap = adaptive::pace_cap_for<T>(d_est, effective);
         }
         if (adaptive && backend == BackendId::kCpi) {
           // One-shot capacity: ship the whole ladder prefix for d^ up

@@ -315,6 +315,117 @@ TEST(Reconcile, ParameterizedItemSizes) {
   run(ByteSymbol<512>{});
 }
 
+// -------------------------------------------------------- CodingWindow
+
+using Window = CodingWindow<Item8>;
+
+/// Brute-force reference: applies `s` at every index its mapping visits from
+/// `mapping`'s current position up to the end of `ref`.
+void fold_reference(std::vector<CodedSymbol<Item8>>& ref,
+                    const HashedSymbol<Item8>& s, IndexMapping mapping,
+                    Direction dir) {
+  while (mapping.index() < ref.size()) {
+    ref[static_cast<std::size_t>(mapping.index())].apply(s, dir);
+    mapping.advance();
+  }
+}
+
+TEST(CodingWindow, ApplyAtMatchesBruteForceFold) {
+  // Up-front adds of both signs, mid-stream adds whose mappings are
+  // pre-walked to the visit position, and visits of both signs, over 3
+  // horizons so entries park in the far heap and come back.
+  const SipHasher<Item8> hasher;
+  const std::size_t m = 3 * Window::kHorizon;
+  testing::for_all(
+      "CodingWindow == brute-force fold", 8, 41, [&](SplitMix64& rng) {
+        const auto random_dir = [&] {
+          return rng.next_below(3) == 0 ? Direction::kRemove
+                                        : Direction::kAdd;
+        };
+        Window window;
+        std::vector<CodedSymbol<Item8>> ref(m);
+        for (std::size_t i = 0; i < 200; ++i) {
+          const auto s = hasher.hashed(Item8::random(rng.next()));
+          const Direction dir = random_dir();
+          fold_reference(ref, s, IndexMapping(s.hash), dir);
+          if (dir == Direction::kAdd) {
+            window.add(s, DefaultMappingFactory{});
+          } else {
+            window.add_with_mapping(s, IndexMapping(s.hash), dir);
+          }
+        }
+        std::vector<Direction> visit(m);
+        for (auto& v : visit) v = random_dir();
+        for (std::size_t i = 0; i < m; ++i) {
+          if (rng.next_below(256) == 0) {
+            // A late symbol (a decoder's recovery): its mapping is walked
+            // to the visit position before it joins the window.
+            const auto s = hasher.hashed(Item8::random(rng.next()));
+            IndexMapping mapping(s.hash);
+            while (mapping.index() < i) mapping.advance();
+            const Direction dir = random_dir();
+            fold_reference(ref, s, mapping, dir);
+            window.add_with_mapping(s, mapping, dir);
+          }
+          CodedSymbol<Item8> cell;
+          window.apply_at(i, cell, visit[i]);
+          // Signs multiply: a kRemove visit negates the reference count.
+          CodedSymbol<Item8> want = ref[i];
+          if (visit[i] == Direction::kRemove) want.count = -want.count;
+          if (!(cell == want)) return false;
+        }
+        return true;
+      });
+}
+
+TEST(CodingWindow, RevisitingOnlyTheLastIndexIsLegal) {
+  const SipHasher<Item8> hasher;
+  Window window;
+  window.add(hasher.hashed(Item8::from_u64(1)), DefaultMappingFactory{});
+  CodedSymbol<Item8> cell;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    window.apply_at(i, cell, Direction::kAdd);
+  }
+  CodedSymbol<Item8> again;
+  EXPECT_NO_THROW(window.apply_at(5, again, Direction::kAdd));
+  EXPECT_TRUE(again.is_empty());  // its slot was drained on the first visit
+  EXPECT_THROW(window.apply_at(4, again, Direction::kAdd), std::logic_error);
+}
+
+TEST(CodingWindow, SkippingALiveEntryThrows) {
+  const SipHasher<Item8> hasher;
+  const auto s = hasher.hashed(Item8::from_u64(2));
+  CodedSymbol<Item8> cell;
+  Window near;  // every symbol maps to index 0, which lives in a bucket
+  near.add(s, DefaultMappingFactory{});
+  EXPECT_THROW(near.apply_at(1, cell, Direction::kAdd), std::logic_error);
+
+  Window far;  // an entry beyond the horizon lives in the far heap
+  IndexMapping mapping(s.hash);
+  while (mapping.index() < 2 * Window::kHorizon) mapping.advance();
+  const std::uint64_t key = mapping.index();
+  far.add_with_mapping(s, mapping);
+  EXPECT_THROW(far.apply_at(key + Window::kHorizon, cell, Direction::kAdd),
+               std::logic_error);
+}
+
+TEST(CodingWindow, AddBelowTheVisitPositionThrows) {
+  const SipHasher<Item8> hasher;
+  Window window;
+  CodedSymbol<Item8> cell;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    window.apply_at(i, cell, Direction::kAdd);
+  }
+  const auto s = hasher.hashed(Item8::from_u64(3));
+  EXPECT_THROW(window.add_with_mapping(s, IndexMapping(s.hash)),
+               std::logic_error);
+  EXPECT_EQ(window.size(), 0u);  // a rejected entry leaves no symbol behind
+  IndexMapping mapping(s.hash);
+  while (mapping.index() < 10) mapping.advance();
+  EXPECT_NO_THROW(window.add_with_mapping(s, mapping, Direction::kRemove));
+  EXPECT_EQ(window.size(), 1u);
+}
+
 // -------------------------------------------------------------- Sketch
 
 TEST(Sketch, SubtractAndDecode) {

@@ -880,11 +880,10 @@ TEST(Engine, CostModelPicksByLinkClass) {
   // dominate: CPI wins the adaptive bench's d <= 100 cells (n = 200 shared
   // items + d - d/2 of the server's own), the stream its d = 1000 cell.
   const ReconcilerConfig config{};
-  const adaptive::AdaptiveOptions opts{};
   const auto pick = [&](std::uint64_t d, std::size_t n,
                         const adaptive::LinkProfile& link) {
     return adaptive::choose_backend<U64Symbol>(BackendId::kRiblt, d, n, 8,
-                                               config, opts, link);
+                                               config, link);
   };
   std::size_t not_stream = 0;
   for (const std::size_t n : {2500, 5000, 10000, 50000}) {
@@ -988,7 +987,7 @@ TEST(Engine, PeerEwmaConvergesOverRepeatedSessions) {
 
   // The EWMA itself: first observation seeds, later ones smooth with
   // alpha, the anonymous peer id 0 is ignored, the table stays bounded.
-  adaptive::PeerEwma ewma(/*alpha=*/0.25, /*max_peers=*/2);
+  adaptive::PeerEwma ewma(/*max_peers=*/2);
   ewma.observe(0, 1000);
   CHECK_EQ(ewma.size(), 0u);
   CHECK_EQ(ewma.estimate(0), 0u);

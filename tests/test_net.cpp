@@ -72,32 +72,29 @@ TEST(FrameConduit, RoundTripsFramesAcrossScatterAndReassembly) {
   CHECK(!rx.next_frame().has_value());
 }
 
-// Disabling the pool must not change observable behavior; with it on,
-// drained output buffers are recycled into inbound frames byte-for-byte
-// correctly across many alloc/retire cycles.
-TEST(FrameConduit, PooledAndUnpooledRoundTripIdentically) {
-  FrameConduit pooled{FrameConduit::kDefaultMaxFrame, /*pool_buffers=*/true};
-  FrameConduit bare{FrameConduit::kDefaultMaxFrame, /*pool_buffers=*/false};
+// Drained output buffers are recycled into length prefixes and inbound
+// frames; across many alloc/retire cycles every frame still round-trips
+// byte-for-byte.
+TEST(FrameConduit, RecycledBuffersRoundTripByteExact) {
+  FrameConduit c;
   SplitMix64 rng(23);
   for (std::size_t round = 0; round < 50; ++round) {
     std::vector<std::byte> f(1 + rng.next() % 900);
     for (auto& b : f) b = static_cast<std::byte>(rng.next());
-    for (FrameConduit* c : {&pooled, &bare}) {
-      c->send(std::vector<std::byte>(f));
-      while (c->has_output()) {
-        std::span<const std::byte> chunks[4];
-        const std::size_t n = c->gather(chunks);
-        REQUIRE(n > 0u);
-        const std::size_t take =
-            std::min<std::size_t>(chunks[0].size(), 1 + rng.next() % 64);
-        c->feed(chunks[0].subspan(0, take));  // loop output back as input
-        c->consume(take);
-      }
-      auto got = c->next_frame();
-      REQUIRE(got.has_value());
-      CHECK(*got == f);
-      CHECK(!c->next_frame().has_value());
+    c.send(std::vector<std::byte>(f));
+    while (c.has_output()) {
+      std::span<const std::byte> chunks[4];
+      const std::size_t n = c.gather(chunks);
+      REQUIRE(n > 0u);
+      const std::size_t take =
+          std::min<std::size_t>(chunks[0].size(), 1 + rng.next() % 64);
+      c.feed(chunks[0].subspan(0, take));  // loop output back as input
+      c.consume(take);
     }
+    auto got = c.next_frame();
+    REQUIRE(got.has_value());
+    CHECK(*got == f);
+    CHECK(!c.next_frame().has_value());
   }
 }
 
